@@ -214,7 +214,6 @@ main(int argc, char **argv)
 {
     auto opt = bench::parseOptions(argc, argv, "ablation");
     bench::installGlobalTrace(opt);
-    bench::installGlobalTelemetry(opt);
 
     std::cout << "====================================\n"
               << "Design-choice ablations (see DESIGN.md)\n"

@@ -9,10 +9,6 @@
  *                         (default 2, clamped to [1, 64])
  *   REST_BENCH_JOBS       default sweep worker threads (default:
  *                         hardware concurrency, clamped to [1, 256])
- *   REST_SWEEP_RETRIES    default --retries (default 1, clamp [0,16])
- *   REST_SWEEP_FAULT      deterministic fault injection (fallback for
- *                         --fault-inject): fail-once:IDX,
- *                         fail-always:IDX, fail-hard:IDX, slow:IDX:MS
  *
  * Command-line knobs (parseOptions(); every --flag also accepts the
  * --flag=value spelling):
@@ -54,46 +50,20 @@
  *                         legacy spelling of asan+elide; default
  *                         asan) and exit
  *
- * Fault-tolerant execution (DESIGN.md §10):
- *   --retries N           extra attempts for transiently failing jobs
- *                         (default REST_SWEEP_RETRIES, else 1)
- *   --backoff-ms N        exponential backoff base between attempts
- *                         (default 0 = none)
- *   --job-timeout-ms N    soft per-job timeout; an over-budget
- *                         attempt is discarded and retried (0 = off)
- *   --checkpoint STEM     persist completed jobs per sweep to
- *                         STEM.<sweep_name>; a killed run loses
- *                         nothing already measured
- *   --resume STEM         restore completed jobs from
- *                         STEM.<sweep_name> and run only the rest
- *   --fault-inject SPEC   deterministic fault injection (see
- *                         REST_SWEEP_FAULT above)
- *
- * Live telemetry (DESIGN.md §12; both off by default, and the default
- * run's output stays byte-identical when they are off):
- *   --serve PORT          embedded HTTP server with /metrics
- *                         (Prometheus text), /status (JSON) and
- *                         /healthz (0 = pick an ephemeral port; the
- *                         bound port is announced on stderr)
- *   --event-log FILE      append one JSON object per sweep lifecycle
- *                         event (JSONL, monotonic "seq" numbers)
- *
  * runMatrix() is the shared sweep driver: it expands a benchmark ×
  * column matrix (× seeds) into sim::SweepJobs, runs them on a
  * sim::SweepRunner, and aggregates exactly like the historical serial
  * loop (per-cell seed average in seed order), so tables are identical
- * at any --jobs value. Jobs that fail after retries become error
- * cells: tables print "error", the results JSON records
- * {"error", "attempts"}, and aggregate means are computed over the
- * surviving rows — the harness always exits 0 with every completed
- * measurement intact.
+ * at any --jobs value. Jobs that fail (DESIGN.md §10) become error
+ * cells: tables print "error", the results JSON records {"error"},
+ * and aggregate means are computed over the surviving rows — the
+ * harness always exits 0 with every completed measurement intact.
  */
 
 #ifndef REST_BENCH_BENCH_UTIL_HH
 #define REST_BENCH_BENCH_UTIL_HH
 
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -111,10 +81,6 @@
 #include "sim/experiment.hh"
 #include "sim/results.hh"
 #include "sim/sweep.hh"
-#include "sim/sweep_events.hh"
-#include "sim/sweep_status.hh"
-#include "util/http_server.hh"
-#include "util/metrics.hh"
 #include "util/trace.hh"
 #include "workload/spec_profiles.hh"
 
@@ -182,50 +148,6 @@ defaultJobs()
     return v;
 }
 
-/** Default --retries: REST_SWEEP_RETRIES, else 1. */
-inline unsigned
-defaultRetries()
-{
-    static const unsigned v = unsigned(
-        parseEnvU64("REST_SWEEP_RETRIES", 1, 0, 16));
-    return v;
-}
-
-// ---------------------------------------------------------------------
-// The harness-level telemetry hub (DESIGN.md §12)
-// ---------------------------------------------------------------------
-
-/**
- * Everything --serve / --event-log stand up, owned process-globally so
- * every sweep a harness runs publishes into the same registry and bus.
- * Declaration order is destruction order in reverse: the server (which
- * reads registry and tracker from its accept thread) and the event log
- * tear down before the things they observe.
- */
-struct TelemetryHub
-{
-    telemetry::MetricRegistry registry;
-    sim::SweepEventBus bus;
-    sim::SweepStatusTracker tracker{&registry};
-    std::unique_ptr<sim::SweepEventLog> eventLog;
-    std::unique_ptr<telemetry::HttpServer> server;
-};
-
-/** Owns the global hub; empty until installGlobalTelemetry(). */
-inline std::unique_ptr<TelemetryHub> &
-globalTelemetryStorage()
-{
-    static std::unique_ptr<TelemetryHub> storage;
-    return storage;
-}
-
-/** The installed hub, or nullptr when telemetry is off. */
-inline TelemetryHub *
-globalTelemetry()
-{
-    return globalTelemetryStorage().get();
-}
-
 // ---------------------------------------------------------------------
 // Command line
 // ---------------------------------------------------------------------
@@ -254,50 +176,6 @@ struct Options
     /** Execution mode (--fast-functional / --sample-*); the default
      *  is all-detailed and leaves every sweep byte-identical. */
     sim::ExecutionConfig exec;
-
-    // Fault-tolerant sweep execution (sim::SweepOptions).
-    unsigned retries = 1;
-    std::uint64_t backoffMs = 0;
-    std::uint64_t jobTimeoutMs = 0;
-    std::string checkpointStem;    ///< --checkpoint ("" = off)
-    std::string resumeStem;        ///< --resume ("" = off)
-    std::string faultSpec;         ///< --fault-inject ("" = env)
-
-    // Live telemetry (DESIGN.md §12; both off by default).
-    bool serve = false;            ///< --serve given
-    std::uint16_t servePort = 0;   ///< 0 = ephemeral
-    std::string eventLogPath;      ///< --event-log ("" = off)
-
-    /**
-     * Build the SweepOptions for one named sweep. Checkpoint files
-     * are per sweep (STEM.<sweep_name>) because harnesses like
-     * ablation run several sweeps per invocation.
-     */
-    sim::SweepOptions
-    sweepOptions(const std::string &sweep_name) const
-    {
-        sim::SweepOptions s;
-        s.retries = retries;
-        s.backoffBaseMs = backoffMs;
-        s.jobTimeoutMs = jobTimeoutMs;
-        if (!checkpointStem.empty())
-            s.checkpointPath = checkpointStem + "." + sweep_name;
-        if (!resumeStem.empty())
-            s.resumePath = resumeStem + "." + sweep_name;
-        if (!faultSpec.empty())
-            s.fault = sim::SweepFaultInjector::parse(faultSpec)
-                          .value_or(sim::SweepFaultInjector{});
-        else
-            s.fault = sim::SweepFaultInjector::fromEnv();
-        s.sweepName = sweep_name;
-        // With no hub installed both stay nullptr and the runner's
-        // behaviour (and output) is bit-for-bit the pre-telemetry one.
-        if (TelemetryHub *hub = globalTelemetry()) {
-            s.events = &hub->bus;
-            s.registry = &hub->registry;
-        }
-        return s;
-    }
 
     // Tracing (all off by default; see util/trace.hh).
     std::string debugFlags;        ///< CSV of flag names ("" = none)
@@ -332,11 +210,6 @@ usage(const std::string &figure, int status)
         << "         [--bench NAME] [--fast-functional]\n"
         << "         [--sample-warmup N] [--sample-window N] "
         << "[--sample-interval N]\n"
-        << "         [--retries N] [--backoff-ms N] "
-        << "[--job-timeout-ms N]\n"
-        << "         [--checkpoint STEM] [--resume STEM] "
-        << "[--fault-inject SPEC]\n"
-        << "         [--serve PORT] [--event-log FILE]\n"
         << "         [--debug-flags CSV] [--debug-start T] "
         << "[--debug-end T]\n"
         << "         [--trace-out PATH] [--pipeview-out PATH] "
@@ -364,27 +237,6 @@ usage(const std::string &figure, int status)
         << "  --sample-interval N  total ops per period, remainder "
         << "fast-forwards\n"
         << "                     functionally (0 = sampling off)\n"
-        << "  --retries N        extra attempts for transient job "
-        << "failures (default " << defaultRetries() << ")\n"
-        << "  --backoff-ms N     exponential backoff base between "
-        << "attempts (default 0)\n"
-        << "  --job-timeout-ms N soft per-job timeout; over-budget "
-        << "attempts retry (0 = off)\n"
-        << "  --checkpoint STEM  persist completed sweep jobs to "
-        << "STEM.<sweep_name>\n"
-        << "  --resume STEM      restore completed jobs from "
-        << "STEM.<sweep_name>\n"
-        << "  --fault-inject S   deterministic fault injection: "
-        << "fail-once:IDX,\n"
-        << "                     fail-always:IDX, fail-hard:IDX, "
-        << "slow:IDX:MS\n"
-        << "                     (REST_SWEEP_FAULT is the fallback)\n"
-        << "  --serve PORT       expose /metrics, /status and /healthz "
-        << "over HTTP\n"
-        << "                     (0 = pick an ephemeral port, "
-        << "announced on stderr)\n"
-        << "  --event-log FILE   write sweep lifecycle events as JSON "
-        << "lines\n"
         << "  --debug-flags CSV  enable debug flags (O3Pipe, Cache, "
         << "TokenDetect,\n"
         << "                     Alloc, Shadow, Sweep, or All)\n"
@@ -515,7 +367,6 @@ parseOptions(int argc, char **argv, const std::string &figure)
 {
     Options opt;
     opt.jobs = defaultJobs();
-    opt.retries = defaultRetries();
     opt.jsonPath = "BENCH_" + figure + ".json";
 
     // Expand "--flag=value" into "--flag" "value" so one loop handles
@@ -595,28 +446,6 @@ parseOptions(int argc, char **argv, const std::string &figure)
         } else if (a == "--sample-interval") {
             opt.exec.sampling.intervalOps =
                 u64Arg(i, a, 0, ~std::uint64_t(0));
-        } else if (a == "--retries") {
-            opt.retries = unsigned(u64Arg(i, a, 0, 16));
-        } else if (a == "--backoff-ms") {
-            opt.backoffMs = u64Arg(i, a, 0, 60000);
-        } else if (a == "--job-timeout-ms") {
-            opt.jobTimeoutMs = u64Arg(i, a, 0, ~std::uint64_t(0));
-        } else if (a == "--checkpoint") {
-            opt.checkpointStem = strArg(i, a);
-        } else if (a == "--resume") {
-            opt.resumeStem = strArg(i, a);
-        } else if (a == "--fault-inject") {
-            opt.faultSpec = strArg(i, a);
-            if (!sim::SweepFaultInjector::parse(opt.faultSpec)) {
-                std::cerr << figure << ": bad --fault-inject spec \""
-                          << opt.faultSpec << "\"\n";
-                usage(figure, 1);
-            }
-        } else if (a == "--serve") {
-            opt.serve = true;
-            opt.servePort = std::uint16_t(u64Arg(i, a, 0, 65535));
-        } else if (a == "--event-log") {
-            opt.eventLogPath = strArg(i, a);
         } else if (a == "--debug-flags") {
             opt.debugFlags = strArg(i, a);
             trace::FlagMask mask = 0;
@@ -707,71 +536,6 @@ installGlobalTrace(const Options &opt)
     return storage.get();
 }
 
-/**
- * Stand up the process-global telemetry hub from the parsed options:
- * the status tracker (always, feeding /status and the registry), the
- * --event-log JSONL sink, and the --serve HTTP endpoints. Returns
- * nullptr — and installs nothing — when both knobs are off, keeping
- * the default run byte-identical. Call once, before the first sweep.
- */
-inline TelemetryHub *
-installGlobalTelemetry(const Options &opt)
-{
-    if (!opt.serve && opt.eventLogPath.empty())
-        return nullptr;
-    auto &storage = globalTelemetryStorage();
-    rest_assert(!storage, "telemetry hub installed twice");
-    storage = std::make_unique<TelemetryHub>();
-    TelemetryHub *hub = storage.get();
-
-    hub->bus.subscribe([hub](const sim::SweepEvent &e) {
-        hub->tracker.onEvent(e);
-    });
-    if (!opt.eventLogPath.empty()) {
-        hub->eventLog =
-            std::make_unique<sim::SweepEventLog>(opt.eventLogPath);
-        if (hub->eventLog->ok()) {
-            hub->bus.subscribe([hub](const sim::SweepEvent &e) {
-                hub->eventLog->append(e);
-            });
-        } else {
-            hub->eventLog.reset();
-        }
-    }
-    if (opt.serve) {
-        hub->server = std::make_unique<telemetry::HttpServer>();
-        hub->server->route(
-            "/metrics", [hub](const telemetry::HttpRequest &) {
-                telemetry::HttpResponse r;
-                r.contentType =
-                    "text/plain; version=0.0.4; charset=utf-8";
-                r.body = hub->registry.prometheusText();
-                return r;
-            });
-        hub->server->route(
-            "/status", [hub](const telemetry::HttpRequest &) {
-                telemetry::HttpResponse r;
-                r.contentType = "application/json";
-                r.body = hub->tracker.statusJson();
-                return r;
-            });
-        hub->server->route(
-            "/healthz", [](const telemetry::HttpRequest &) {
-                telemetry::HttpResponse r;
-                r.body = "ok\n";
-                return r;
-            });
-        if (hub->server->start(opt.servePort)) {
-            // stderr, like warn(): stdout stays the harness's table.
-            std::cerr << "telemetry: serving /metrics /status /healthz "
-                      << "on port " << hub->server->port() << "\n";
-        } else {
-            hub->server.reset();
-        }
-    }
-    return hub;
-}
-
 // ---------------------------------------------------------------------
 // The shared sweep driver
 // ---------------------------------------------------------------------
@@ -855,8 +619,7 @@ struct MatrixResult
 
 /**
  * Run a benchmark × column matrix, seeds expanded per cell, on a
- * SweepRunner with opt.jobs threads and opt's retry/timeout/
- * checkpoint policy. When `with_baseline` is set a Plain column is
+ * SweepRunner with opt.jobs threads. When `with_baseline` is set a Plain column is
  * run first and the sweep's wtd-ari/geo mean overheads are computed
  * against it (over the rows whose cells all succeeded).
  */
@@ -921,8 +684,7 @@ runMatrix(const std::string &sweep_name,
     }
 
     const std::vector<sim::JobResult> results =
-        sim::SweepRunner(opt.jobs, opt.sweepOptions(sweep_name))
-            .run(jobs_list);
+        sim::SweepRunner(opt.jobs).run(jobs_list);
 
     MatrixResult out;
     out.sweep.name = sweep_name;
@@ -947,11 +709,9 @@ runMatrix(const std::string &sweep_name,
             double total_cycles = 0, total_ops = 0;
             for (unsigned s = 0; s < seeds; ++s) {
                 const sim::JobResult &jr = results[idx++];
-                cell.attempts += jr.attempts;
                 if (!jr.ok) {
                     // The cell fails as a whole; keep the first
-                    // error and keep consuming the remaining seeds'
-                    // attempt counts.
+                    // error.
                     if (cell.ok) {
                         cell.ok = false;
                         cell.error = jr.error;

@@ -40,7 +40,6 @@ main(int argc, char **argv)
 {
     auto opt = bench::parseOptions(argc, argv, "fig3");
     bench::installGlobalTrace(opt);
-    bench::installGlobalTelemetry(opt);
 
     std::cout
         << "=====================================================\n"

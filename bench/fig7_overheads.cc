@@ -96,7 +96,6 @@ main(int argc, char **argv)
 {
     auto opt = bench::parseOptions(argc, argv, "fig7");
     bench::installGlobalTrace(opt);
-    bench::installGlobalTelemetry(opt);
 
     std::cout << "==============================================\n"
               << "Figure 7: runtime overheads over plain (%)\n"

@@ -19,7 +19,6 @@ main(int argc, char **argv)
 {
     auto opt = bench::parseOptions(argc, argv, "fig8");
     bench::installGlobalTrace(opt);
-    bench::installGlobalTelemetry(opt);
 
     std::cout << "==================================================\n"
               << "Figure 8: token width overheads, secure mode (%)\n"

@@ -206,7 +206,6 @@ main(int argc, char **argv)
 {
     auto opt = bench::parseOptions(argc, argv, "multicore");
     bench::installGlobalTrace(opt);
-    bench::installGlobalTelemetry(opt);
     if (opt.exec.sampling.active()) {
         std::cerr << "multicore: sampled execution is not supported "
                   << "on the multicore machine\n";

@@ -1,6 +1,6 @@
 /**
  * @file
- * perf_report: guard the committed perf trajectory (DESIGN.md §12).
+ * perf_report: guard the committed perf trajectory (DESIGN.md §11).
  *
  * Loads the "perf" block of a committed BENCH_*.json (the reference
  * simulator-throughput run, e.g. BENCH_fig7.json from PR 6) and

@@ -289,7 +289,6 @@ main(int argc, char **argv)
 {
     auto opt = bench::parseOptions(argc, argv, "tab1");
     bench::installGlobalTrace(opt);
-    bench::installGlobalTelemetry(opt);
 
     std::cout << "=================================================\n"
               << "Table I: REST action matrix, observed vs spec\n"

@@ -98,7 +98,6 @@ main(int argc, char **argv)
 {
     auto opt = bench::parseOptions(argc, argv, "tab2");
     bench::installGlobalTrace(opt);
-    bench::installGlobalTelemetry(opt);
 
     cpu::CpuConfig core;
     mem::DramConfig dram;

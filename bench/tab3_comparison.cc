@@ -270,7 +270,6 @@ main(int argc, char **argv)
 {
     auto opt = bench::parseOptions(argc, argv, "tab3");
     bench::installGlobalTrace(opt);
-    bench::installGlobalTelemetry(opt);
 
     std::cout << "====================================================\n"
               << "Table III: hardware technique comparison\n"

@@ -25,7 +25,6 @@ int
 main(int argc, char **argv)
 {
     auto opt = bench::parseOptions(argc, argv, "trace_demo");
-    bench::installGlobalTelemetry(opt);
 
     // Per-System sink (not the process-global one): the System writes
     // the configured outputs itself at the end of run().

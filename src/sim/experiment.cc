@@ -79,9 +79,11 @@ runSystem(const workload::BenchProfile &profile, const SystemConfig &cfg,
     SystemResult result = system.run();
     const double run_wall = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - run_t0).count();
-    rest_assert(!result.faulted(),
-                "benign benchmark ", profile.name, " faulted under ",
-                label, ": ", result.run.violation.toString());
+    // A fatal, not an assert: inside a sweep it fails this one job
+    // (ScopedFatalThrow) instead of aborting the whole figure run.
+    if (result.faulted())
+        rest_fatal("benign benchmark ", profile.name, " faulted under ",
+                   label, ": ", result.run.violation.toString());
 
     Measurement m;
     m.bench = profile.name;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Perf-trajectory regression reports (DESIGN.md §12).
+ * Perf-trajectory regression reports (DESIGN.md §11).
  *
  * PR 6 committed a reference BENCH_fig7.json whose "perf" block
  * records simulator throughput (KIPS) per execution mode. This module

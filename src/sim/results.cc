@@ -44,13 +44,9 @@ writeCell(util::JsonWriter &w, const SweepCell &cell)
         // fields so downstream tooling cannot mistake a failure for
         // a zero-cycle run.
         w.field("error", cell.error);
-        w.field("attempts", std::uint64_t(cell.attempts));
         w.endObject();
         return;
     }
-    if (cell.attempts != 0 &&
-        cell.attempts != unsigned(cell.seedCycles.size()))
-        w.field("attempts", std::uint64_t(cell.attempts));
     w.field("cycles", std::uint64_t(cell.cycles));
     w.field("ops", cell.ops);
     if (cell.execMode != "detailed") {

@@ -30,11 +30,9 @@
  *             "exec_mode": "sampled", "sampling_error_pct": 2.1,
  *             "seed_cycles": [121, 125],
  *             "scalars": { "o3cpu.…": 1, "l1d.…": 2 } }, ... ],
- *         // a cell whose job(s) failed (after retries) serialises as
- *         //   { "bench": ..., "column": ...,
- *         //     "error": "...", "attempts": 3 }
- *         // instead of aborting the figure; successful cells that
- *         // needed retries additionally carry "attempts".
+ *         // a cell whose job(s) failed serialises as
+ *         //   { "bench": ..., "column": ..., "error": "..." }
+ *         // instead of aborting the figure.
  *         "baseline_cycles": { "perlbench": 100, ... },   // optional
  *         "wtd_ari_mean_pct": { "ASan": 40.1, ... },      // optional
  *         "geo_mean_pct": { "ASan": 33.0, ... }           // optional
@@ -78,16 +76,11 @@ struct SweepCell
      *  when non-empty, so default output stays byte-identical. */
     std::vector<stats::StatSnapshot> statSeries;
 
-    /** False when any seed job failed after retries; such cells
-     *  serialise as {"error", "attempts"} records. */
+    /** False when any seed job failed; such cells serialise as
+     *  {"error"} records. */
     bool ok = true;
     /** First failed seed's error (empty iff ok). */
     std::string error;
-    /** Execution attempts summed over the cell's seed jobs. Emitted
-     *  in the JSON only when it differs from the seed count (i.e. a
-     *  retry or a failure happened), keeping default output
-     *  byte-identical. */
-    unsigned attempts = 0;
 };
 
 /** One named sweep: a rows × columns matrix of cells. */

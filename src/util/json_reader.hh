@@ -1,11 +1,10 @@
 /**
  * @file
- * A minimal JSON reader for files this codebase wrote itself (sweep
- * checkpoints, results files). It accepts the subset util::JsonWriter
- * emits plus standard whitespace, and reports malformed input through
- * ok() instead of exceptions, so callers can treat a truncated or
- * corrupt file (e.g. a checkpoint from a killed sweep) as "absent"
- * and carry on.
+ * A minimal JSON reader for files this codebase wrote itself (results
+ * files, Chrome traces). It accepts the subset util::JsonWriter emits
+ * plus standard whitespace, and reports malformed input through ok()
+ * instead of exceptions, so callers can treat a truncated or corrupt
+ * file as "absent" and carry on.
  *
  * Not a general-purpose parser: \uXXXX escapes cover the BMP (decoded
  * to UTF-8); surrogate pairs are rejected as malformed rather than

@@ -1,74 +1,11 @@
 #include "util/logging.hh"
 
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <ctime>
 #include <mutex>
 
 namespace rest
 {
 
 std::atomic<bool> verboseLogging{false};
-
-namespace
-{
-
-/** -1 = not yet resolved from REST_LOG_TIMESTAMPS, else 0/1. */
-std::atomic<int> timestampsState{-1};
-
-/** Small sequential id per logging thread (t0, t1, ...), stable for
- *  the thread's lifetime — much easier to correlate by eye than the
- *  opaque std::thread::id hash. */
-unsigned
-threadLogId()
-{
-    static std::atomic<unsigned> next{0};
-    thread_local unsigned id =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return id;
-}
-
-/** "[2026-08-07T12:34:56.789Z t1] " */
-std::string
-timestampPrefix()
-{
-    using namespace std::chrono;
-    const auto now = system_clock::now();
-    const std::time_t secs = system_clock::to_time_t(now);
-    const auto ms =
-        duration_cast<milliseconds>(now.time_since_epoch()).count() %
-        1000;
-    std::tm tm{};
-    gmtime_r(&secs, &tm);
-    char buf[64];
-    std::snprintf(buf, sizeof(buf),
-                  "[%04d-%02d-%02dT%02d:%02d:%02d.%03dZ t%u] ",
-                  tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday,
-                  tm.tm_hour, tm.tm_min, tm.tm_sec, int(ms),
-                  threadLogId());
-    return buf;
-}
-
-} // namespace
-
-void
-setLogTimestamps(bool enabled)
-{
-    timestampsState.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool
-logTimestampsEnabled()
-{
-    int s = timestampsState.load(std::memory_order_relaxed);
-    if (s < 0) {
-        const char *env = std::getenv("REST_LOG_TIMESTAMPS");
-        s = (env && *env && std::strcmp(env, "0") != 0) ? 1 : 0;
-        timestampsState.store(s, std::memory_order_relaxed);
-    }
-    return s == 1;
-}
 
 namespace detail
 {
@@ -91,9 +28,7 @@ writeLine(std::ostream &os, const char *prefix, const std::string &msg,
           const char *suffix = "")
 {
     std::string line;
-    line.reserve(msg.size() + 64);
-    if (logTimestampsEnabled())
-        line += timestampPrefix();
+    line.reserve(msg.size() + 32);
     line += prefix;
     line += msg;
     line += suffix;

@@ -65,19 +65,6 @@ class ScopedFatalThrow
  */
 extern std::atomic<bool> verboseLogging;
 
-/**
- * Prefix every warn()/inform() line with a UTC wall-clock timestamp
- * and a small per-thread id ("[2026-08-07T12:34:56.789Z t1] warn: …")
- * so console output can be correlated with the --event-log JSONL
- * stream. Off by default — default output stays byte-identical — and
- * settable either here or via REST_LOG_TIMESTAMPS=1 in the
- * environment (an explicit call wins over the environment).
- */
-void setLogTimestamps(bool enabled);
-
-/** Current effective setting (resolves REST_LOG_TIMESTAMPS once). */
-bool logTimestampsEnabled();
-
 namespace detail
 {
 

@@ -150,22 +150,6 @@ class Distribution
         return double(max_); // unreachable: cum == count_ >= rank
     }
 
-    /**
-     * Dump helper for exposition layers: (percentile, estimate) pairs
-     * for the requested percentiles (a standard telemetry set by
-     * default), in the order given.
-     */
-    std::vector<std::pair<double, double>>
-    quantiles(const std::vector<double> &ps = {50, 90, 95, 99, 100})
-        const
-    {
-        std::vector<std::pair<double, double>> out;
-        out.reserve(ps.size());
-        for (double p : ps)
-            out.emplace_back(p, percentile(p));
-        return out;
-    }
-
   private:
     std::vector<std::uint64_t> edges_;
     std::vector<std::uint64_t> buckets_;

@@ -1,14 +1,11 @@
 /**
  * @file
- * A small work-stealing thread pool for embarrassingly-parallel
- * simulator sweeps.
+ * A small thread pool for embarrassingly-parallel simulator sweeps.
  *
- * Each worker owns a deque of tasks: it pops from the back of its own
- * deque (LIFO, cache-friendly) and steals from the front of a victim's
- * deque (FIFO, oldest work first) when its own runs dry. submit() and
- * the completion accounting are what the sweep runner needs: tasks may
- * be submitted from any thread, wait() blocks until every submitted
- * task has finished, and destruction joins the workers.
+ * Workers take tasks from one shared FIFO queue. submit() may be
+ * called from any thread (including from inside a running task),
+ * wait() blocks until every submitted task has finished, and
+ * destruction joins the workers.
  *
  * Task execution order is unspecified — callers that need deterministic
  * output must make each task pure and aggregate results by submission
@@ -28,18 +25,17 @@
 #ifndef REST_UTIL_THREAD_POOL_HH
 #define REST_UTIL_THREAD_POOL_HH
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "util/logging.hh"
-#include "util/metrics.hh"
 
 namespace rest::util
 {
@@ -53,12 +49,11 @@ class ThreadPool
      *        preserving submit()/wait() semantics.
      */
     explicit ThreadPool(unsigned num_threads)
-        : queues_(std::max(1u, num_threads))
     {
         unsigned n = std::max(1u, num_threads);
         workers_.reserve(n);
         for (unsigned i = 0; i < n; ++i)
-            workers_.emplace_back([this, i] { workerLoop(i); });
+            workers_.emplace_back([this] { workerLoop(); });
     }
 
     ThreadPool(const ThreadPool &) = delete;
@@ -66,13 +61,6 @@ class ThreadPool
 
     ~ThreadPool()
     {
-        // Detach telemetry first: a concurrent scrape finishing inside
-        // one of our gauge callbacks is waited out by removeCallback's
-        // lock acquisition, so no callback can observe a dead pool.
-        if (registry_) {
-            for (std::uint64_t id : gauge_ids_)
-                registry_->removeCallback(id);
-        }
         {
             std::unique_lock lock(mutex_);
             stopping_ = true;
@@ -84,7 +72,7 @@ class ThreadPool
 
     unsigned numThreads() const { return unsigned(workers_.size()); }
 
-    /** Enqueue one task; round-robins across worker deques. */
+    /** Enqueue one task at the back of the queue. */
     void
     submit(std::function<void()> task)
     {
@@ -92,8 +80,7 @@ class ThreadPool
             std::unique_lock lock(mutex_);
             rest_assert(!stopping_, "submit() on a stopping pool");
             ++pending_;
-            queues_[next_queue_].push_back(std::move(task));
-            next_queue_ = (next_queue_ + 1) % queues_.size();
+            queue_.push_back(std::move(task));
         }
         cv_.notify_one();
     }
@@ -130,71 +117,21 @@ class ThreadPool
         return failures_.size();
     }
 
-    /** Tasks submitted but not yet picked up by a worker. */
-    std::size_t
-    queueDepth() const
-    {
-        std::unique_lock lock(mutex_);
-        std::size_t depth = 0;
-        for (const auto &q : queues_)
-            depth += q.size();
-        return depth;
-    }
-
-    /** Workers currently executing a task. */
-    std::size_t
-    activeWorkers() const
-    {
-        std::unique_lock lock(mutex_);
-        return active_;
-    }
-
-    /**
-     * Publish live queue-depth / active-worker gauges to `registry`
-     * under the given pool label. Evaluated at scrape time; the
-     * registrations are removed automatically when the pool is
-     * destroyed (at most one registry per pool).
-     */
-    void
-    publishMetrics(telemetry::MetricRegistry &registry,
-                   const std::string &pool_name)
-    {
-        rest_assert(!registry_, "ThreadPool metrics already published");
-        registry_ = &registry;
-        gauge_ids_.push_back(registry.gaugeCallback(
-            "rest_pool_queue_depth",
-            "Tasks submitted but not yet running",
-            {{"pool", pool_name}}, [this] {
-                return double(queueDepth());
-            }));
-        gauge_ids_.push_back(registry.gaugeCallback(
-            "rest_pool_active_workers",
-            "Workers currently executing a task",
-            {{"pool", pool_name}}, [this] {
-                return double(activeWorkers());
-            }));
-        gauge_ids_.push_back(registry.gaugeCallback(
-            "rest_pool_threads", "Worker threads in the pool",
-            {{"pool", pool_name}}, [this] {
-                return double(numThreads());
-            }));
-    }
-
   private:
     void
-    workerLoop(unsigned self)
+    workerLoop()
     {
         for (;;) {
             std::function<void()> task;
             {
                 std::unique_lock lock(mutex_);
-                cv_.wait(lock, [this, self] {
-                    return stopping_ || findWork(self);
+                cv_.wait(lock, [this] {
+                    return stopping_ || !queue_.empty();
                 });
-                if (stopping_ && !findWork(self))
-                    return;
-                task = std::move(takeWork(self));
-                ++active_;
+                if (queue_.empty())
+                    return; // stopping, and nothing left to run
+                task = std::move(queue_.front());
+                queue_.pop_front();
             }
             std::exception_ptr failure;
             try {
@@ -208,7 +145,6 @@ class ThreadPool
             }
             {
                 std::unique_lock lock(mutex_);
-                --active_;
                 if (failure)
                     failures_.push_back(std::move(failure));
                 if (--pending_ == 0)
@@ -217,53 +153,14 @@ class ThreadPool
         }
     }
 
-    /** Any runnable task visible to worker `self`? Caller holds lock. */
-    bool
-    findWork(unsigned self) const
-    {
-        if (!queues_[self].empty())
-            return true;
-        for (const auto &q : queues_)
-            if (!q.empty())
-                return true;
-        return false;
-    }
-
-    /** Pop own work (back) or steal (front). Caller holds the lock and
-     *  has established via findWork() that a task exists. */
-    std::function<void()>
-    takeWork(unsigned self)
-    {
-        auto &own = queues_[self];
-        if (!own.empty()) {
-            auto task = std::move(own.back());
-            own.pop_back();
-            return task;
-        }
-        for (std::size_t i = 1; i <= queues_.size(); ++i) {
-            auto &victim = queues_[(self + i) % queues_.size()];
-            if (!victim.empty()) {
-                auto task = std::move(victim.front());
-                victim.pop_front();
-                return task;
-            }
-        }
-        rest_panic("takeWork() with no runnable task");
-    }
-
-    std::vector<std::deque<std::function<void()>>> queues_;
+    std::deque<std::function<void()>> queue_;
     std::vector<std::thread> workers_;
     std::vector<std::exception_ptr> failures_;
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     std::condition_variable done_cv_;
-    std::size_t next_queue_ = 0;
     std::size_t pending_ = 0;
-    std::size_t active_ = 0;
     bool stopping_ = false;
-
-    telemetry::MetricRegistry *registry_ = nullptr;
-    std::vector<std::uint64_t> gauge_ids_;
 };
 
 } // namespace rest::util

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/test_util.hh"
 
 namespace rest
@@ -44,6 +46,16 @@ buildAttack(const std::string &name)
     if (name == "strcpy-overflow")
         return strcpyOverflow(32, 150);
     rest_fatal("unknown attack ", name);
+}
+
+// Prints a cell as "<attack> under <config>". The test names shown by
+// ctest carry this text; gtest's default would print the Cell's raw
+// bytes, which include the (ASLR-randomised) address of its attack
+// string, so every build would name the cases differently.
+void
+PrintTo(const Cell &cell, std::ostream *os)
+{
+    *os << cell.attack << " under " << sim::expConfigName(cell.config);
 }
 
 } // namespace

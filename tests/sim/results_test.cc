@@ -1,8 +1,7 @@
 /**
  * @file
  * Round-trip regression tests for the sweep results layer: a
- * serialised ResultsFile parses back (with the shared test JSON
- * reader) with every cell, mean and configuration name present, and
+ * serialised ResultsFile parses back (with util::JsonReader) with every cell, mean and configuration name present, and
  * serialisation is byte-stable across runs with fixed seeds.
  */
 
@@ -15,9 +14,9 @@
 #include <string>
 #include <vector>
 
-#include "common/json_reader.hh"
 #include "sim/results.hh"
 #include "sim/sweep.hh"
+#include "util/json_reader.hh"
 
 namespace rest::sim
 {
@@ -25,8 +24,8 @@ namespace rest::sim
 namespace
 {
 
-using test::JsonParser;
-using test::JsonValue;
+using util::JsonReader;
+using util::JsonValue;
 
 // ---- Fixtures ----
 
@@ -79,7 +78,7 @@ TEST(Results, RoundTripPreservesEverything)
     ResultsFile f = sampleResults();
     std::string text = serialise(f);
 
-    JsonParser parser(text);
+    JsonReader parser(text);
     JsonValue root = parser.parse();
     ASSERT_TRUE(parser.ok()) << text;
 
@@ -126,44 +125,41 @@ TEST(Results, RoundTripPreservesEverything)
 TEST(Results, ErrorCellsSerialiseAsErrorRecords)
 {
     ResultsFile f = sampleResults();
-    // Fail one cell the way runMatrix() does after retries run out.
+    // Fail one cell the way runMatrix() does when a seed job fails.
     SweepCell &failed = f.sweeps[0].cells[1];
     failed.ok = false;
-    failed.error = "injected fault (fail-always) at job 3";
-    failed.attempts = 3;
+    failed.error = "benchmark faulted at job 3";
     failed.cycles = 0;
     failed.ops = 0;
     failed.seedCycles.clear();
     failed.scalars.clear();
-    // And mark one surviving cell as having needed a retry.
-    f.sweeps[0].cells[2].attempts = 3; // 2 seeds + 1 retry
 
     std::string text = serialise(f);
-    JsonParser parser(text);
+    JsonReader parser(text);
     JsonValue root = parser.parse();
     ASSERT_TRUE(parser.ok()) << text;
 
+    ASSERT_EQ(root.at("sweeps").items.size(), 1u);
     const auto &cells = root.at("sweeps").items[0].at("cells");
     ASSERT_EQ(cells.items.size(), 4u);
 
-    // The failed cell is an {error, attempts} record with no
-    // measurement fields a consumer could mistake for data.
+    // The failed cell is an {error} record with no measurement fields
+    // a consumer could mistake for data.
     const auto &bad = cells.items[1];
-    EXPECT_EQ(bad.at("error").str,
-              "injected fault (fail-always) at job 3");
-    EXPECT_EQ(bad.at("attempts").number, 3);
+    ASSERT_TRUE(bad.has("error"));
+    EXPECT_EQ(bad.at("error").str, "benchmark faulted at job 3");
+    EXPECT_EQ(bad.at("bench").str, "sjeng");
+    EXPECT_EQ(bad.at("column").str, "ASan");
+    EXPECT_EQ(bad.members.size(), 3u); // bench, column, error
     EXPECT_FALSE(bad.has("cycles"));
     EXPECT_FALSE(bad.has("ops"));
     EXPECT_FALSE(bad.has("seed_cycles"));
 
-    // The retried-but-ok cell keeps its measurement and reports the
-    // attempt count; untouched cells stay byte-identical (no
-    // "attempts" key at all).
-    const auto &retried = cells.items[2];
-    EXPECT_EQ(retried.at("attempts").number, 3);
-    EXPECT_TRUE(retried.has("cycles"));
-    EXPECT_FALSE(cells.items[0].has("attempts"));
+    // The surviving cells keep their measurements and carry no
+    // "error" key.
+    EXPECT_TRUE(cells.items[0].has("cycles"));
     EXPECT_FALSE(cells.items[0].has("error"));
+    EXPECT_TRUE(cells.items[2].has("cycles"));
 }
 
 TEST(Results, SerialisationIsByteStable)
@@ -218,7 +214,7 @@ TEST(Results, RealSweepSerialisesAndParses)
     std::string second = serialise(buildFile());
     EXPECT_EQ(first, second);
 
-    JsonParser parser(first);
+    JsonReader parser(first);
     JsonValue root = parser.parse();
     ASSERT_TRUE(parser.ok());
     const auto &sweep = root.at("sweeps").items.at(0);

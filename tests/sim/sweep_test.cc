@@ -4,10 +4,20 @@
  * count, the Measurement vector is cycle-for-cycle identical to
  * running the same jobs serially through runBench()/runCustom(), and
  * repeated runs with the same seeds reproduce byte-identical results.
+ * A job whose run hits rest_fatal fails alone; the rest of the sweep
+ * is unaffected, and the harnesses' matrix driver turns it into one
+ * error cell.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <string>
+#include <vector>
+
+#include "bench/bench_util.hh"
+#include "sim/results.hh"
 #include "sim/sweep.hh"
 
 namespace rest::sim
@@ -15,6 +25,17 @@ namespace rest::sim
 
 namespace
 {
+
+/** Fast-functional and sampled execution together are a configuration
+ *  error: System's constructor rest_fatal()s on it. */
+SystemConfig
+contradictoryConfig()
+{
+    SystemConfig cfg = makeSystemConfig(ExpConfig::Plain);
+    cfg.exec.fastFunctional = true;
+    cfg.exec.sampling.intervalOps = 100000;
+    return cfg;
+}
 
 /** 3 benchmarks × 3 configs × 2 seeds, small enough for a unit test. */
 std::vector<SweepJob>
@@ -71,7 +92,7 @@ TEST(SweepRunner, MatchesSerialRunBenchAtEveryThreadCount)
         for (std::size_t i = 0; i < reference.size(); ++i) {
             SCOPED_TRACE("job=" + std::to_string(i));
             EXPECT_TRUE(parallel[i].ok);
-            EXPECT_EQ(parallel[i].attempts, 1u);
+            EXPECT_TRUE(parallel[i].error.empty());
             expectIdentical(parallel[i].measurement, reference[i]);
         }
     }
@@ -128,6 +149,93 @@ TEST(SweepRunner, SeedChangesResults)
 TEST(SweepRunner, EmptyJobListIsFine)
 {
     EXPECT_TRUE(SweepRunner(4).run({}).empty());
+}
+
+TEST(SweepRunner, FatalJobFailsOnlyItsOwnCell)
+{
+    auto jobs = testMatrix();
+    jobs.resize(5);
+
+    const std::size_t bad = 2;
+    jobs.insert(jobs.begin() + bad,
+                makeCustomJob(jobs[bad].profile, contradictoryConfig(),
+                              "contradictory"));
+
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        ::testing::internal::CaptureStderr();
+        auto out = SweepRunner(threads).run(jobs);
+        const std::string log = ::testing::internal::GetCapturedStderr();
+        ASSERT_EQ(out.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            SCOPED_TRACE("job=" + std::to_string(i));
+            if (i == bad) {
+                EXPECT_FALSE(out[i].ok);
+                EXPECT_NE(out[i].error.find(
+                              "fast-functional and sampled execution "
+                              "are mutually exclusive"),
+                          std::string::npos)
+                    << out[i].error;
+                continue;
+            }
+            EXPECT_TRUE(out[i].ok);
+            EXPECT_TRUE(out[i].error.empty());
+            expectIdentical(out[i].measurement,
+                            runBench(jobs[i].profile, jobs[i].config,
+                                     jobs[i].width, jobs[i].inorder));
+        }
+        EXPECT_NE(log.find("sweep job 2 (" + jobs[bad].profile.name +
+                           ") failed"),
+                  std::string::npos)
+            << log;
+    }
+}
+
+TEST(RunMatrix, FailedJobBecomesAnErrorCell)
+{
+    // Read once by the bench helpers; set before their first call.
+    setenv("REST_BENCH_KILOINSTS", "10", 1);
+    setenv("REST_BENCH_SEEDS", "2", 1);
+    bench::Options opt;
+    opt.jobs = 2;
+
+    ::testing::internal::CaptureStderr();
+    const bench::MatrixResult mat = bench::runMatrix(
+        "unit", {workload::profileByName("sjeng")},
+        {bench::customColumn("Bad", contradictoryConfig()),
+         bench::presetColumn("ASan", ExpConfig::Asan)},
+        opt);
+    ::testing::internal::GetCapturedStderr();
+
+    ASSERT_EQ(mat.colNames, (std::vector<std::string>{"Bad", "ASan"}));
+    ASSERT_EQ(mat.baselineOk, std::vector<bool>{true});
+    EXPECT_FALSE(mat.cellOk[0][0]);
+    EXPECT_TRUE(mat.cellOk[1][0]);
+    EXPECT_FALSE(mat.allOk());
+    EXPECT_TRUE(std::isnan(mat.overheadAt(0, 0)));
+    EXPECT_TRUE(std::isfinite(mat.overheadAt(1, 0)));
+    // The failed column's means have no surviving row.
+    EXPECT_TRUE(std::isnan(mat.sweep.wtdAriMeanPct.at("Bad")));
+    EXPECT_TRUE(std::isnan(mat.sweep.geoMeanPct.at("Bad")));
+    EXPECT_TRUE(std::isfinite(mat.sweep.wtdAriMeanPct.at("ASan")));
+
+    // The failed cell keeps its error and no measurement (results.cc
+    // then writes it as an {"error"} record); the others are measured.
+    ASSERT_EQ(mat.sweep.cells.size(), 3u); // Plain, Bad, ASan
+    for (const SweepCell &cell : mat.sweep.cells) {
+        SCOPED_TRACE(cell.column);
+        EXPECT_EQ(cell.ok, cell.column != "Bad");
+        if (cell.ok) {
+            EXPECT_GT(cell.cycles, 0u);
+            EXPECT_EQ(cell.seedCycles.size(), 2u);
+        } else {
+            EXPECT_NE(cell.error.find("mutually exclusive"),
+                      std::string::npos);
+            EXPECT_EQ(cell.cycles, 0u);
+            EXPECT_TRUE(cell.seedCycles.empty());
+            EXPECT_TRUE(cell.scalars.empty());
+        }
+    }
 }
 
 TEST(SweepRunner, MeasurementCarriesScalars)

@@ -17,17 +17,17 @@
 #include <numeric>
 #include <sstream>
 
-#include "common/json_reader.hh"
 #include "common/test_util.hh"
 #include "sim/results.hh"
 #include "sim/sweep.hh"
+#include "util/json_reader.hh"
 #include "workload/spec_profiles.hh"
 
 namespace rest::sim
 {
 
-using test::JsonParser;
-using test::JsonValue;
+using util::JsonReader;
+using util::JsonValue;
 
 namespace
 {
@@ -101,7 +101,7 @@ TEST(TraceSystem, ChromeTraceFromRealRunParses)
     std::ostringstream os;
     system.traceSink()->writeChromeTrace(os);
 
-    JsonParser parser(os.str());
+    JsonReader parser(os.str());
     JsonValue root = parser.parse();
     ASSERT_TRUE(parser.ok());
     EXPECT_EQ(root.at("displayTimeUnit").str, "ns");
@@ -295,10 +295,13 @@ TEST(TraceSystem, StatSeriesSerialisedOnlyWhenPresent)
     ASSERT_NE(with.find("stat_series"), std::string::npos);
 
     // And the augmented file still parses.
-    JsonParser parser(with);
+    JsonReader parser(with);
     JsonValue root = parser.parse();
     ASSERT_TRUE(parser.ok());
-    const auto &cell = root.at("sweeps").items[0].at("cells").items[0];
+    ASSERT_EQ(root.at("sweeps").items.size(), 1u);
+    const auto &cells = root.at("sweeps").items[0].at("cells");
+    ASSERT_EQ(cells.items.size(), 1u);
+    const auto &cell = cells.items[0];
     const auto &series = cell.at("stat_series");
     ASSERT_EQ(series.kind, JsonValue::Array);
     ASSERT_FALSE(series.items.empty());

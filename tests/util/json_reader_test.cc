@@ -1,9 +1,9 @@
 /**
  * @file
- * util::JsonReader — the parser behind sweep-checkpoint loading. The
- * key contract: everything util::JsonWriter emits parses back, and
- * malformed input (a checkpoint truncated by a kill) reports through
- * ok() instead of throwing or aborting.
+ * util::JsonReader — the parser behind results-file loading and the
+ * tests' JSON checks. The key contract: everything util::JsonWriter
+ * emits parses back, and malformed input (a truncated file) reports
+ * through ok() instead of throwing or aborting.
  */
 
 #include <gtest/gtest.h>

@@ -1,13 +1,12 @@
 /**
  * @file
- * The logging timestamp/thread-id prefix (off by default; enabled via
- * setLogTimestamps() or REST_LOG_TIMESTAMPS). Default output must stay
- * byte-identical to the pre-telemetry format.
+ * Logging output format and the ScopedFatalThrow guard that turns
+ * rest_fatal into a catchable error (which is how a sweep job's fatal
+ * becomes a failed cell instead of ending the process).
  */
 
 #include <gtest/gtest.h>
 
-#include <regex>
 #include <string>
 
 #include "util/logging.hh"
@@ -15,71 +14,30 @@
 namespace rest
 {
 
-namespace
-{
-
-/** Capture what one rest_warn emits on stderr. */
-std::string
-warnOutput(const std::string &msg)
-{
-    ::testing::internal::CaptureStderr();
-    rest_warn(msg);
-    return ::testing::internal::GetCapturedStderr();
-}
-
-/** RAII: restore the timestamp setting however the test exits. */
-struct TimestampGuard
-{
-    ~TimestampGuard() { setLogTimestamps(false); }
-};
-
-} // namespace
-
 TEST(Logging, DefaultWarnLineIsBarePrefix)
 {
-    TimestampGuard guard;
-    setLogTimestamps(false);
-    EXPECT_EQ(warnOutput("plain message"), "warn: plain message\n");
+    ::testing::internal::CaptureStderr();
+    rest_warn("plain message");
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "warn: plain message\n");
 }
 
-TEST(Logging, TimestampPrefixFormat)
+TEST(ScopedFatalThrow, MakesRestFatalThrowWhileActive)
 {
-    TimestampGuard guard;
-    setLogTimestamps(true);
-    EXPECT_TRUE(logTimestampsEnabled());
-    std::string out = warnOutput("stamped message");
-    // "[2026-08-07T12:34:56.789Z t1] warn: stamped message\n"
-    std::regex pattern(
-        "\\[\\d{4}-\\d{2}-\\d{2}T\\d{2}:\\d{2}:\\d{2}\\.\\d{3}Z "
-        "t\\d+\\] warn: stamped message\n");
-    EXPECT_TRUE(std::regex_match(out, pattern)) << out;
+    util::ScopedFatalThrow guard;
+    EXPECT_THROW(rest_fatal("converted to an exception"),
+                 util::FatalError);
 }
 
-TEST(Logging, ToggleRestoresByteIdenticalOutput)
+TEST(ScopedFatalThrow, NestsPerThread)
 {
-    TimestampGuard guard;
-    setLogTimestamps(false);
-    std::string before = warnOutput("same line");
-    setLogTimestamps(true);
-    std::string stamped = warnOutput("same line");
-    setLogTimestamps(false);
-    std::string after = warnOutput("same line");
-    EXPECT_EQ(before, "warn: same line\n");
-    EXPECT_EQ(after, before);
-    EXPECT_NE(stamped, before);
-    // The stamped line still ends with the default line.
-    ASSERT_GE(stamped.size(), before.size());
-    EXPECT_EQ(stamped.substr(stamped.size() - before.size()), before);
-}
-
-TEST(Logging, ExplicitCallWinsOverEnvironment)
-{
-    TimestampGuard guard;
-    // Whatever REST_LOG_TIMESTAMPS says, an explicit call decides.
-    setLogTimestamps(true);
-    EXPECT_TRUE(logTimestampsEnabled());
-    setLogTimestamps(false);
-    EXPECT_FALSE(logTimestampsEnabled());
+    util::ScopedFatalThrow outer;
+    {
+        util::ScopedFatalThrow inner;
+        EXPECT_THROW(rest_fatal("inner"), util::FatalError);
+    }
+    // Still inside the outer region.
+    EXPECT_THROW(rest_fatal("outer"), util::FatalError);
 }
 
 } // namespace rest

@@ -274,23 +274,6 @@ TEST(Stats, PercentileUninitialisedDistribution)
     EXPECT_DOUBLE_EQ(d.percentile(100), 9.0);
 }
 
-TEST(Stats, QuantilesDefaultSet)
-{
-    Distribution d;
-    d.init({10, 100, 1000});
-    for (std::uint64_t v = 1; v <= 100; ++v)
-        d.sample(v);
-    auto qs = d.quantiles();
-    ASSERT_EQ(qs.size(), 5u);
-    EXPECT_DOUBLE_EQ(qs[0].first, 50.0);
-    EXPECT_DOUBLE_EQ(qs[0].second, d.percentile(50));
-    EXPECT_DOUBLE_EQ(qs[4].first, 100.0);
-    EXPECT_DOUBLE_EQ(qs[4].second, 100.0);
-    auto custom = d.quantiles({25});
-    ASSERT_EQ(custom.size(), 1u);
-    EXPECT_DOUBLE_EQ(custom[0].second, d.percentile(25));
-}
-
 TEST(Stats, FormulaEvaluatesLazily)
 {
     StatGroup g("grp");

@@ -74,8 +74,8 @@ TEST(ThreadPool, WaitWithNothingSubmittedReturns)
 
 TEST(ThreadPool, SubmitFromWorkerThread)
 {
-    // Work-stealing pools must accept nested submission (a sweep job
-    // spawning follow-up work) without deadlocking.
+    // The pool must accept nested submission (a task spawning
+    // follow-up work) without deadlocking.
     ThreadPool pool(2);
     std::atomic<int> count{0};
     for (int i = 0; i < 8; ++i) {
@@ -184,87 +184,6 @@ TEST(ThreadPool, NonExceptionThrowIsCaptured)
     ThreadPool pool(2);
     pool.submit([] { throw 42; });
     EXPECT_THROW(pool.wait(), int);
-}
-
-// ---------------------------------------------------------------------
-// Telemetry gauges (DESIGN.md Â§12)
-// ---------------------------------------------------------------------
-
-TEST(ThreadPool, PublishesQueueAndWorkerGauges)
-{
-    telemetry::MetricRegistry registry;
-    std::atomic<bool> release{false};
-    {
-        ThreadPool pool(2);
-        pool.publishMetrics(registry, "sweep");
-
-        std::string text = registry.prometheusText();
-        EXPECT_NE(text.find("rest_pool_threads{pool=\"sweep\"} 2\n"),
-                  std::string::npos);
-        EXPECT_NE(
-            text.find("rest_pool_queue_depth{pool=\"sweep\"} 0\n"),
-            std::string::npos);
-        EXPECT_NE(
-            text.find("rest_pool_active_workers{pool=\"sweep\"} 0\n"),
-            std::string::npos);
-
-        // Block both workers first (workers pop their own deque LIFO,
-        // so filler submitted too early would run before the
-        // blockers), then pile work up behind them: active rises to
-        // the worker count and the queue is non-empty.
-        std::atomic<int> started{0};
-        for (int i = 0; i < 2; ++i)
-            pool.submit([&] {
-                ++started;
-                while (!release.load()) {}
-            });
-        while (started.load() < 2) {}
-        for (int i = 0; i < 8; ++i)
-            pool.submit([] {});
-        EXPECT_EQ(pool.activeWorkers(), 2u);
-        EXPECT_GT(pool.queueDepth(), 0u);
-        text = registry.prometheusText();
-        EXPECT_NE(
-            text.find("rest_pool_active_workers{pool=\"sweep\"} 2\n"),
-            std::string::npos);
-
-        // After wait(), the depth has drained to zero and no worker
-        // is active.
-        release = true;
-        pool.wait();
-        EXPECT_EQ(pool.queueDepth(), 0u);
-        EXPECT_EQ(pool.activeWorkers(), 0u);
-        text = registry.prometheusText();
-        EXPECT_NE(
-            text.find("rest_pool_queue_depth{pool=\"sweep\"} 0\n"),
-            std::string::npos);
-        EXPECT_NE(
-            text.find("rest_pool_active_workers{pool=\"sweep\"} 0\n"),
-            std::string::npos);
-    }
-    // Destruction unregisters the callbacks: the family headers stay,
-    // the instances are gone, and a scrape cannot touch a dead pool.
-    std::string text = registry.prometheusText();
-    EXPECT_EQ(text.find("rest_pool_threads{"), std::string::npos);
-    EXPECT_EQ(text.find("rest_pool_queue_depth{"), std::string::npos);
-    EXPECT_EQ(text.find("rest_pool_active_workers{"),
-              std::string::npos);
-}
-
-TEST(ThreadPool, GaugesTrackAcrossBatches)
-{
-    telemetry::MetricRegistry registry;
-    ThreadPool pool(3);
-    pool.publishMetrics(registry, "batch");
-    for (int batch = 0; batch < 3; ++batch) {
-        std::atomic<int> count{0};
-        for (int i = 0; i < 30; ++i)
-            pool.submit([&count] { ++count; });
-        pool.wait();
-        EXPECT_EQ(count.load(), 30);
-        EXPECT_EQ(pool.queueDepth(), 0u);
-        EXPECT_EQ(pool.activeWorkers(), 0u);
-    }
 }
 
 } // namespace rest::util

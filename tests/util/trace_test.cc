@@ -12,15 +12,15 @@
 #include <sstream>
 #include <thread>
 
-#include "common/json_reader.hh"
+#include "util/json_reader.hh"
 #include "util/stats.hh"
 #include "util/trace.hh"
 
 namespace rest::trace
 {
 
-using test::JsonParser;
-using test::JsonValue;
+using util::JsonReader;
+using util::JsonValue;
 
 // ---------------------------------------------------------------------
 // Flags
@@ -247,10 +247,11 @@ TEST(ChromeTrace, SerialisesValidJsonWithTracksAndPhases)
     std::ostringstream os;
     sink.writeChromeTrace(os);
 
-    JsonParser parser(os.str());
+    JsonReader parser(os.str());
     JsonValue root = parser.parse();
     ASSERT_TRUE(parser.ok()) << os.str();
     EXPECT_EQ(root.at("displayTimeUnit").str, "ns");
+    ASSERT_TRUE(root.has("droppedEvents"));
     EXPECT_EQ(root.at("droppedEvents").number, 0);
 
     const auto &evs = root.at("traceEvents");
@@ -297,7 +298,7 @@ TEST(ChromeTrace, StatSnapshotsBecomeCounterSamples)
 
     std::ostringstream os;
     sink.writeChromeTrace(os);
-    JsonParser parser(os.str());
+    JsonReader parser(os.str());
     JsonValue root = parser.parse();
     ASSERT_TRUE(parser.ok()) << os.str();
 
