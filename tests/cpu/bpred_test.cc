@@ -117,4 +117,26 @@ TEST(BranchPredictor, CountsAccumulate)
     EXPECT_GT(bp.corrects(), 90u);
 }
 
+// Exact mispredict count over a fixed mix of biased, patterned and
+// random branches at several PCs: any change to how the predictor
+// indexes its history must leave every prediction unchanged.
+TEST(Tage, MispredictCountPinned)
+{
+    TagePredictor tage;
+    Xoshiro256ss rng(11);
+    int mispredicts = 0;
+    for (int i = 0; i < 5000; ++i) {
+        Addr pc = 0x8000 + 4 * rng.below(16);
+        bool taken;
+        switch ((pc >> 2) % 4) {
+          case 0: taken = rng.chance(0.9); break;
+          case 1: taken = i % 3 != 0; break;
+          case 2: taken = rng.chance(0.5); break;
+          default: taken = (i / 7) % 2 == 0; break;
+        }
+        mispredicts += !tage.update(pc, taken);
+    }
+    EXPECT_EQ(mispredicts, 1809);
+}
+
 } // namespace rest::cpu

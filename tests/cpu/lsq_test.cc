@@ -179,4 +179,60 @@ TEST(Lsq, FullAndCapacity)
     EXPECT_FALSE(lsq.full());
 }
 
+// Unit tests insert without pruning, past the configured capacity: the
+// queue must keep every entry and still search youngest-first.
+TEST(Lsq, GrowsPastCapacityWithoutPrune)
+{
+    Lsq lsq(32);
+    for (std::uint64_t i = 0; i < 100; ++i)
+        lsq.insert(entry(i, 0x1000 + 8 * (i % 10), 8, false, false,
+                         1000 + i));
+    EXPECT_EQ(lsq.occupancy(), 100u);
+    EXPECT_TRUE(lsq.full());
+    EXPECT_EQ(lsq.earliestFree(), 1000u);
+    // Seq 99 (the youngest) and seq 89 wrote 0x1048; only the
+    // youngest older than the load decides.
+    LoadLsqCheck chk = lsq.checkLoad(95, 0x1048, 8);
+    EXPECT_TRUE(chk.forwarded);
+    lsq.insert(entry(100, 0x1048, 4, false, false, 5000));
+    chk = lsq.checkLoad(101, 0x1048, 8);
+    EXPECT_FALSE(chk.forwarded);
+    EXPECT_EQ(chk.mustWaitUntil, 5000u);
+    lsq.prune(1049);
+    EXPECT_EQ(lsq.occupancy(), 51u);
+    EXPECT_EQ(lsq.earliestFree(), 1050u);
+}
+
+// Steady state: prune and insert cycle the queue through its storage
+// many times over; forwarding stays youngest-first across the wrap.
+TEST(Lsq, WrapAroundKeepsYoungestFirst)
+{
+    Lsq lsq(4);
+    for (std::uint64_t i = 0; i < 50; ++i) {
+        lsq.prune(i);
+        lsq.insert(entry(i, 0x2000, 8, false, false, i + 3));
+    }
+    EXPECT_EQ(lsq.occupancy(), 3u);
+    EXPECT_EQ(lsq.earliestFree(), 50u);
+    EXPECT_FALSE(lsq.full());
+    // The youngest older store (seq 49) is a partial write; an older
+    // covering store must not be used.
+    lsq.insert(entry(50, 0x2004, 4, false, false, 60));
+    EXPECT_TRUE(lsq.full());
+    LoadLsqCheck chk = lsq.checkLoad(51, 0x2000, 8);
+    EXPECT_FALSE(chk.forwarded);
+    EXPECT_EQ(chk.mustWaitUntil, 60u);
+    chk = lsq.checkLoad(50, 0x2000, 8);
+    EXPECT_TRUE(chk.forwarded);
+    lsq.insert(entry(51, 0x3000, 64, /*arm=*/true, false, 61));
+    EXPECT_EQ(lsq.checkInsert(0x3008, 8, false, false),
+              core::ViolationKind::TokenForward);
+    lsq.prune(51);
+    EXPECT_EQ(lsq.occupancy(), 3u);
+    EXPECT_EQ(lsq.earliestFree(), 52u);
+    lsq.prune(61);
+    EXPECT_EQ(lsq.occupancy(), 0u);
+    EXPECT_EQ(lsq.earliestFree(), 0u);
+}
+
 } // namespace rest::cpu
