@@ -25,9 +25,9 @@ mix(std::uint64_t x)
 } // namespace
 
 TagePredictor::TagePredictor()
-    : bimodal_(1u << bimodalBits, 0), histLens_(histSeries),
-      ghist_(1024, false)
+    : bimodal_(1u << bimodalBits, 0), histLens_(histSeries)
 {
+    static_assert(histSeries.back() < ghistLen);
     for (auto &table : tagged_)
         table.assign(1u << taggedBits, {});
     for (unsigned t = 0; t < numTagged; ++t) {
@@ -59,14 +59,12 @@ TagePredictor::pushHistory(bool bit)
 {
     for (unsigned t = 0; t < numTagged; ++t) {
         // The bit falling out of this table's history window.
-        std::size_t out_pos = (ghistPos_ + ghist_.size() -
-                               histLens_[t]) % ghist_.size();
-        bool out_bit = ghist_[out_pos];
+        bool out_bit = ghist_[(ghistPos_ - histLens_[t]) & (ghistLen - 1)];
         foldedIdx_[t].push(bit, out_bit);
         foldedTag_[t].push(bit, out_bit);
     }
-    ghist_[ghistPos_ % ghist_.size()] = bit;
-    ghistPos_ = (ghistPos_ + 1) % ghist_.size();
+    ghist_[ghistPos_] = bit;
+    ghistPos_ = (ghistPos_ + 1) & (ghistLen - 1);
 }
 
 unsigned

@@ -9,6 +9,7 @@
 #define REST_CPU_BPRED_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -90,9 +91,14 @@ class TagePredictor
     std::array<unsigned, numTagged> histLens_;
     std::array<Folded, numTagged> foldedIdx_;
     std::array<Folded, numTagged> foldedTag_;
-    /** Global history as a shift register (bool per branch). */
-    std::vector<bool> ghist_;
-    std::uint64_t ghistPos_ = 0;
+    /**
+     * Global history as a circular shift register (one bool per
+     * branch), a power of two long so positions wrap with a mask.
+     */
+    static constexpr unsigned ghistLen = 1024;
+    static_assert(std::has_single_bit(ghistLen));
+    std::array<bool, ghistLen> ghist_{};
+    unsigned ghistPos_ = 0;
     std::uint8_t useAltOnNa_ = 8;
 };
 
