@@ -120,9 +120,10 @@ MultiCoreSystem::runSlice(unsigned core, std::uint64_t ops,
     acc.committedOps += r.committedOps;
     for (unsigned s = 0; s < r.opsBySource.size(); ++s)
         acc.opsBySource[s] += r.opsBySource[s];
-    // The timing models keep their commit clock across run() calls,
-    // so r.cycles is already this core's cumulative clock; the
-    // functional driver reports per-call nominal cycles (== ops).
+    // The timing models keep their pipeline state, commit clock
+    // included, across run() calls, so r.cycles is already this
+    // core's cumulative clock; the functional driver reports per-call
+    // nominal cycles (== ops).
     acc.cycles = functional ? acc.cycles + r.cycles : r.cycles;
 
     if (r.faulted()) {
