@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -175,6 +176,12 @@ TEST(SweepRunner, FatalJobFailsOnlyItsOwnCell)
                               "fast-functional and sampled execution "
                               "are mutually exclusive"),
                           std::string::npos)
+                    << out[i].error;
+                // The location is relative to the source root, so the
+                // message reads the same in every checkout.
+                EXPECT_TRUE(std::regex_search(
+                    out[i].error,
+                    std::regex(" @ src/sim/system\\.cc:[0-9]+$")))
                     << out[i].error;
                 continue;
             }
