@@ -1,7 +1,6 @@
 #include "analysis/coalesce_checks.hh"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "analysis/cfg.hh"
@@ -18,7 +17,10 @@ using isa::OpSource;
 namespace
 {
 
-/** The group being grown: its location and current (union) window. */
+/**
+ * The group being grown: its location and current (union) window.
+ * 'at' < 0 means no group is pending.
+ */
 struct Pending
 {
     int at = -1;
@@ -46,34 +48,33 @@ coalesceChecks(isa::Function &fn, const CoalesceOptions &opts)
 
     for (int b : cfg.rpo()) {
         const auto &bb = cfg.blocks()[static_cast<std::size_t>(b)];
-        std::optional<Pending> pending;
+        Pending pending;
         auto flush = [&]() {
-            if (pending && !(pending->window == pending->original))
-                widens.push_back({pending->at, pending->window});
-            pending.reset();
+            if (pending.at >= 0 && !(pending.window == pending.original))
+                widens.push_back({pending.at, pending.window});
+            pending = Pending{};
         };
 
         for (int i = bb.first; i <= bb.last; ++i) {
             auto group = matchCheckGroup(fn, i);
             if (group && group->end() <= bb.last) {
                 const CheckFact &f = group->fact;
-                if (pending && pending->window.base == f.base) {
+                if (pending.at >= 0 && pending.window.base == f.base) {
                     std::int64_t lo =
-                        std::min(pending->window.offset, f.offset);
+                        std::min(pending.window.offset, f.offset);
                     std::int64_t hi = std::max(
-                        pending->window.offset + pending->window.width,
+                        pending.window.offset + pending.window.width,
                         f.offset + f.width);
                     bool touching =
                         f.offset <=
-                            pending->window.offset +
-                                pending->window.width &&
-                        pending->window.offset <= f.offset + f.width;
+                            pending.window.offset + pending.window.width &&
+                        pending.window.offset <= f.offset + f.width;
                     if (touching && hi - lo <= 255) {
                         for (int k = 0; k < CheckGroup::length; ++k)
                             marked[static_cast<std::size_t>(
                                 group->at + k)] = true;
-                        pending->window.offset = lo;
-                        pending->window.width =
+                        pending.window.offset = lo;
+                        pending.window.width =
                             static_cast<std::uint8_t>(hi - lo);
                         ++merged;
                         i = group->end();
@@ -87,11 +88,11 @@ coalesceChecks(isa::Function &fn, const CoalesceOptions &opts)
             }
 
             const Inst &inst = fn.insts[static_cast<std::size_t>(i)];
-            if (!pending)
+            if (pending.at < 0)
                 continue;
             bool base_redefined = inst.rd != isa::noReg &&
                 inst.rd != isa::regZero &&
-                inst.rd == pending->window.base;
+                inst.rd == pending.window.base;
             bool program_access = !opts.acrossAccesses &&
                 (inst.op == Opcode::Load || inst.op == Opcode::Store) &&
                 inst.tag == OpSource::Program;

@@ -15,15 +15,15 @@
  *    kept instead of crashing, so callers may mark trailing groups
  *    freely.
  *
- *  - insertInstructions(): splice a block of instructions before an
- *    index. Branches that target the splice point choose, per branch
- *    site, whether to enter the inserted code (loop-entry edges fall
- *    into a preheader) or skip it (back edges re-enter the loop
- *    header behind the preheader).
+ *  - insertInstructions(): splice blocks of instructions in front of
+ *    any number of indices in one pass. Branches that target a splice
+ *    point choose, per branch site, whether to enter the inserted code
+ *    (loop-entry edges fall into a preheader) or skip it (back edges
+ *    re-enter the loop header behind the preheader).
  *
  * Both return an old-index -> new-index map so callers can translate
  * any instruction indices they recorded before the edit (the hoist
- * pass threads its audit records through consecutive edits this way).
+ * pass threads its audit records through each round's edit this way).
  */
 
 #ifndef REST_ANALYSIS_REWRITE_HH
@@ -64,19 +64,33 @@ struct RewriteMap
 RewriteMap deleteInstructions(isa::Function &fn,
                               std::vector<bool> &marked);
 
+/** One block of instructions for insertInstructions() to splice in. */
+struct Splice
+{
+    /** Pre-edit index the block goes in front of (0..size). */
+    int pos = 0;
+    std::vector<isa::Inst> insts;
+    /**
+     * Consulted for each branch whose target is exactly 'pos', with
+     * the branch's pre-edit index: true retargets it past the block
+     * (back edges), false leaves it entering the block (loop-entry
+     * edges).
+     */
+    std::function<bool(int)> skipInserted;
+};
+
 /**
- * Insert 'insts' immediately before index 'pos' (0 <= pos <=
- * fn.insts.size()). Branch targets strictly beyond 'pos' shift by the
- * inserted length; targets exactly at 'pos' consult
- * skipInserted(branch_inst_idx) — true retargets past the splice
- * (back edges), false leaves the branch entering it (loop-entry
- * edges). Targets of the inserted instructions themselves are taken
- * as already-final post-edit indices. The returned map reports where
+ * Insert every splice's block in front of its 'pos'; 'splices' must
+ * be sorted by strictly ascending position. A branch target shifts by
+ * the length of every block spliced at a lower index, and by the block
+ * spliced at the target itself only when that splice's
+ * skipInserted(branch) says so.
+ * Targets of the inserted instructions themselves are taken as
+ * already-final post-edit indices. The returned map reports where
  * each *pre-edit* instruction landed.
  */
-RewriteMap insertInstructions(
-    isa::Function &fn, int pos, const std::vector<isa::Inst> &insts,
-    const std::function<bool(int)> &skipInserted);
+RewriteMap insertInstructions(isa::Function &fn,
+                              const std::vector<Splice> &splices);
 
 } // namespace rest::analysis
 

@@ -117,10 +117,12 @@ TEST(TraceSystem, ChromeTraceFromRealRunParses)
         const std::string &ph = ev.at("ph").str;
         EXPECT_TRUE(ph == "M" || ph == "X" || ph == "i" || ph == "C")
             << ph;
-        if (ph != "M")
+        if (ph != "M") {
             EXPECT_TRUE(ev.has("ts"));
-        if (ph == "X")
+        }
+        if (ph == "X") {
             EXPECT_TRUE(ev.has("dur"));
+        }
     }
 }
 
@@ -149,10 +151,12 @@ TEST(TraceSystem, PipeViewStagesAreMonotone)
         EXPECT_LE(r.dispatch, r.issue);
         EXPECT_LE(r.issue, r.complete);
         EXPECT_LE(r.complete, r.retire);
-        if (r.storeComplete != 0)
+        if (r.storeComplete != 0) {
             EXPECT_GE(r.storeComplete, r.issue);
-        if (i > 0)
+        }
+        if (i > 0) {
             EXPECT_GT(r.seq, prev_seq); // program order
+        }
         prev_seq = r.seq;
     }
 
