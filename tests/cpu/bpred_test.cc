@@ -139,4 +139,37 @@ TEST(Tage, MispredictCountPinned)
     EXPECT_EQ(mispredicts, 1809);
 }
 
+// Calls and returns push their targets into the global history between
+// conditional branches; over 20k steps the history runs far past the
+// longest table (640 branches), so every table's out-bit position and
+// folded registers are exercised.
+TEST(Tage, MispredictCountWithCallsAndReturnsPinned)
+{
+    TagePredictor tage;
+    Xoshiro256ss rng(17);
+    int mispredicts = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const unsigned kind = static_cast<unsigned>(rng.below(8));
+        if (kind == 0) {
+            tage.recordUnconditional(0x40000 + 4 * rng.below(64));
+            continue;
+        }
+        if (kind == 1) {
+            tage.recordUnconditional(0x50000 + 8 * rng.below(64),
+                                     rng.chance(0.5));
+            continue;
+        }
+        Addr pc = 0x8000 + 4 * rng.below(32);
+        bool taken;
+        switch ((pc >> 2) % 4) {
+          case 0: taken = rng.chance(0.95); break;
+          case 1: taken = i % 5 != 0; break;
+          case 2: taken = rng.chance(0.5); break;
+          default: taken = (i / 11) % 2 == 0; break;
+        }
+        mispredicts += !tage.update(pc, taken);
+    }
+    EXPECT_EQ(mispredicts, 4600);
+}
+
 } // namespace rest::cpu
