@@ -30,7 +30,7 @@ O3Cpu::O3Cpu(const CpuConfig &cfg, core::RestMode mode,
       lsq_(cfg.sqEntries),
       robFreeAt_(cfg.robEntries, 0),
       lqFreeAt_(cfg.lqEntries, 0),
-      iqFreeAt_(cfg.iqEntries + 1, 0),
+      iq_(cfg.iqEntries),
       issueBucket_(issueWindow, staleBucket),
       stats_("o3cpu"),
       committedOps_(stats_.addScalar("committed_ops",
@@ -55,7 +55,6 @@ O3Cpu::O3Cpu(const CpuConfig &cfg, core::RestMode mode,
 {
     fuPoolSize_ = {cfg.memPorts, cfg.aluUnits, cfg.fpUnits,
                    cfg.mulDivUnits};
-    iqFreeAt_.back() = ~Cycles(0);
     for (auto &buckets : fuBucket_)
         buckets.assign(issueWindow, staleBucket);
 }
@@ -68,7 +67,7 @@ O3Cpu::resetPipeline()
     lastFetchLine_ = invalidAddr;
     std::fill(robFreeAt_.begin(), robFreeAt_.end(), 0);
     std::fill(lqFreeAt_.begin(), lqFreeAt_.end(), 0);
-    std::fill(iqFreeAt_.begin(), iqFreeAt_.end() - 1, 0);
+    iq_.reset();
     std::fill(issueBucket_.begin(), issueBucket_.end(), staleBucket);
     for (auto &buckets : fuBucket_)
         std::fill(buckets.begin(), buckets.end(), staleBucket);
@@ -81,22 +80,6 @@ O3Cpu::resetPipeline()
     lastCommitCycle_ = 0;
     commitsThisCycle_ = 0;
     lsq_.clear();
-}
-
-void
-O3Cpu::replaceIqRoot(Cycles free_at)
-{
-    Cycles *heap = iqFreeAt_.data();
-    const std::size_t size = cfg_.iqEntries;
-    std::size_t i = 0;
-    for (std::size_t c = 1; c < size; c = 2 * i + 1) {
-        c += heap[c + 1] < heap[c]; // the pad is never the smaller
-        if (heap[c] >= free_at)
-            break;
-        heap[i] = heap[c];
-        i = c;
-    }
-    heap[i] = free_at;
 }
 
 Cycles
@@ -232,8 +215,8 @@ O3Cpu::run(isa::TraceSource &src, std::uint64_t max_ops)
             dispatch = rob_free;
         }
         // IQ slots free out of order (any issued entry releases its
-        // slot): take the earliest-freeing one, the heap's root.
-        const Cycles iq_free = iqFreeAt_[0];
+        // slot): take the earliest-freeing one.
+        const Cycles iq_free = iq_.earliest();
         if (iq_free > dispatch) {
             iqFullStallCycles_ += iq_free - dispatch;
             if (ts && ts->flagOn(trace::Flag::O3Pipe, dispatch)) {
@@ -300,7 +283,7 @@ O3Cpu::run(isa::TraceSource &src, std::uint64_t max_ops)
         Cycles issue = claimIssueSlot(ready, pool_idx, fu_busy);
 
         // IQ entry occupied from dispatch until issue.
-        replaceIqRoot(issue + 1);
+        iq_.replaceEarliest(issue + 1);
         REST_DPRINTF(trace::Flag::O3Pipe, fetch_cycle, "o3cpu",
                      "seq=", seq_, " ", isa::mnemonic(op.op),
                      " fetch=", fetch_cycle, " dispatch=", dispatch,

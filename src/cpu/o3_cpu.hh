@@ -26,6 +26,7 @@
 #include "core/token.hh"
 #include "cpu/bpred.hh"
 #include "cpu/cpu_config.hh"
+#include "cpu/iq_calendar.hh"
 #include "cpu/lsq.hh"
 #include "isa/dyn_op.hh"
 #include "mem/cache.hh"
@@ -121,16 +122,9 @@ class O3Cpu
     unsigned robPos_ = 0;
     unsigned lqPos_ = 0;
 
-    /**
-     * IQ slot release times as a binary min-heap. Any issued entry
-     * frees its slot, so the slots are anonymous and only the multiset
-     * of release times matters: dispatch waits for the root, issue
-     * replaces it. A trailing ~0 pad gives every parent two children.
-     */
-    std::vector<Cycles> iqFreeAt_;
-
-    /** Replace the IQ heap's root (earliest release) with 'free_at'. */
-    void replaceIqRoot(Cycles free_at);
+    /** IQ slot release times: dispatch waits for the earliest, issue
+     *  replaces it. */
+    IqCalendar iq_;
 
     /**
      * Issue-bandwidth and FU-occupancy tracking as per-cycle counts
