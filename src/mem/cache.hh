@@ -11,12 +11,12 @@
 #define REST_MEM_CACHE_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "mem/cache_config.hh"
 #include "mem/dram.hh"
 #include "util/bit_utils.hh"
+#include "util/page_allocator.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
@@ -47,15 +47,17 @@ const char *mesiName(Mesi m);
 class Cache : public MemoryDevice
 {
   public:
-    /** Per-line metadata. Data contents live in GuestMemory. */
+    /**
+     * Per-line metadata of a resident way. Data contents live in
+     * GuestMemory; the line's address is its tag, kept in a separate
+     * array (Cache::tags_).
+     */
     struct Line
     {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
         std::uint64_t lastUsed = 0;
         /** Cycle the line's data arrives (in-flight fill tracking). */
         Cycles readyAt = 0;
+        bool dirty = false;
         /**
          * REST token bits: one bit per token granule in the line
          * (1 bit for 64B tokens, 2 for 32B, 4 for 16B). Unused by
@@ -133,8 +135,18 @@ class Cache : public MemoryDevice
 
   protected:
     /** Locate a resident line; nullptr on miss. */
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    Line *
+    findLine(Addr addr)
+    {
+        const std::size_t way = findWay(addr);
+        return way == noWay ? nullptr : &lines_[way];
+    }
+
+    const Line *
+    findLine(Addr addr) const
+    {
+        return const_cast<Cache *>(this)->findLine(addr);
+    }
 
     /**
      * Install a line, evicting the LRU victim.
@@ -171,7 +183,30 @@ class Cache : public MemoryDevice
      */
     Cycles resolveMiss(Addr line_addr, Cycles now);
 
-    unsigned setIndex(Addr addr) const;
+    /** First way of the set 'addr' maps to, in tags_ and lines_. */
+    std::size_t
+    setBase(Addr addr) const
+    {
+        return static_cast<std::size_t>((addr >> blockShift_) & setMask_) *
+               cfg_.assoc;
+    }
+
+    /** Way holding 'addr''s line (an index into tags_ and lines_), or
+     *  noWay. */
+    std::size_t
+    findWay(Addr addr) const
+    {
+        const Addr la = lineAddr(addr);
+        const std::size_t base = setBase(addr);
+        const Addr *tags = tags_.data() + base;
+        for (unsigned w = 0; w < cfg_.assoc; ++w) {
+            if (tags[w] == la)
+                return base + w;
+        }
+        return noWay;
+    }
+
+    static constexpr std::size_t noWay = ~std::size_t(0);
 
     /**
      * Broadcast a miss on the bus (no-op when detached) and return the
@@ -189,13 +224,37 @@ class Cache : public MemoryDevice
     MemoryDevice &below_;
     CoherenceBus *bus_ = nullptr;
     unsigned blockSize_;
-    unsigned numSets_;
-    std::vector<std::vector<Line>> sets_;
+    unsigned blockShift_;
+    /** Number of sets minus one (the set count is a power of two). */
+    Addr setMask_;
+    /**
+     * Every way's line address, set by set (assoc ways each);
+     * invalidAddr marks an invalid way. Kept apart from the rest of
+     * the line state so a lookup scans one contiguous run of tags.
+     * Both arrays are mapped from the kernel (util/page_allocator.hh)
+     * so building and dropping machines does not grow the heap.
+     */
+    std::vector<Addr, PageAllocator<Addr>> tags_;
+    /** Every way's line state, indexed like tags_. */
+    std::vector<Line, PageAllocator<Line>> lines_;
     std::uint64_t useCounter_ = 0;
     bool lastHit_ = false;
 
-    /** Outstanding line fetches: line addr -> data-ready cycle. */
-    std::map<Addr, Cycles> outstanding_;
+    /** An outstanding line fetch. */
+    struct Mshr
+    {
+        Addr line;
+        /** Cycle the line's data is ready (the MSHR frees). */
+        Cycles readyAt;
+    };
+    /**
+     * Outstanding line fetches, one per line, unordered. A fetch that
+     * waited for a full table does not take over the MSHR it waited
+     * for: that entry stays until it completes, so the table can hold
+     * more than numMshrs entries, and later misses in the same window
+     * wait for the same release.
+     */
+    std::vector<Mshr> mshrs_;
 
     stats::StatGroup stats_;
     stats::Scalar &hits_;
