@@ -1,17 +1,12 @@
 #include "cpu/bpred.hh"
 
-#include <algorithm>
+#include <utility>
 
 namespace rest::cpu
 {
 
 namespace
 {
-
-/** Geometric history length series, L-TAGE style (min 4, max ~640). */
-constexpr std::array<unsigned, TagePredictor::numTagged> histSeries = {
-    4, 6, 10, 16, 25, 40, 64, 101, 160, 254, 403, 640,
-};
 
 std::uint64_t
 mix(std::uint64_t x)
@@ -22,81 +17,78 @@ mix(std::uint64_t x)
     return x;
 }
 
+/**
+ * Shift 'in' into a folded register of 'clen' bits whose history
+ * window drops 'out' at bit 'out_point' (its length mod clen).
+ */
+template <unsigned clen, unsigned out_point>
+std::uint32_t
+fold(std::uint32_t comp, bool in, bool out)
+{
+    comp = (comp << 1) | static_cast<std::uint32_t>(in);
+    comp ^= static_cast<std::uint32_t>(out) << out_point;
+    comp ^= comp >> clen;
+    return comp & ((1u << clen) - 1);
+}
+
 } // namespace
 
-TagePredictor::TagePredictor()
-    : bimodal_(1u << bimodalBits, 0), histLens_(histSeries)
+TagePredictor::TagePredictor() : bimodal_(1u << bimodalBits, 0)
 {
-    static_assert(histSeries.back() < ghistLen);
     for (auto &table : tagged_)
         table.assign(1u << taggedBits, {});
-    for (unsigned t = 0; t < numTagged; ++t) {
-        foldedIdx_[t].init(histLens_[t], taggedBits);
-        foldedTag_[t].init(histLens_[t], tagBits);
-    }
 }
 
+template <unsigned T>
 void
-TagePredictor::Folded::init(unsigned orig_len, unsigned comp_len)
+TagePredictor::pushTable(bool bit)
 {
-    olen = orig_len;
-    clen = comp_len;
-    outPoint = olen % clen;
-    comp = 0;
-}
-
-void
-TagePredictor::Folded::push(bool new_bit, bool out_bit)
-{
-    comp = (comp << 1) | (new_bit ? 1 : 0);
-    comp ^= (out_bit ? 1ull : 0ull) << outPoint;
-    comp ^= comp >> clen;
-    comp &= (1ull << clen) - 1;
+    constexpr unsigned len = histLens[T];
+    // The bit falling out of this table's history window.
+    const bool out_bit = ghist_[(ghistPos_ - len) & (ghistLen - 1)];
+    foldedIdx_[T] =
+        fold<taggedBits, len % taggedBits>(foldedIdx_[T], bit, out_bit);
+    foldedTag_[T] =
+        fold<tagBits, len % tagBits>(foldedTag_[T], bit, out_bit);
 }
 
 void
 TagePredictor::pushHistory(bool bit)
 {
-    for (unsigned t = 0; t < numTagged; ++t) {
-        // The bit falling out of this table's history window.
-        bool out_bit = ghist_[(ghistPos_ - histLens_[t]) & (ghistLen - 1)];
-        foldedIdx_[t].push(bit, out_bit);
-        foldedTag_[t].push(bit, out_bit);
-    }
+    [&]<unsigned... T>(std::integer_sequence<unsigned, T...>) {
+        (pushTable<T>(bit), ...);
+    }(std::make_integer_sequence<unsigned, numTagged>{});
     ghist_[ghistPos_] = bit;
     ghistPos_ = (ghistPos_ + 1) & (ghistLen - 1);
 }
 
-unsigned
-TagePredictor::bimodalIndex(Addr pc) const
+TagePredictor::Indices
+TagePredictor::indices(Addr pc) const
 {
-    return static_cast<unsigned>((pc >> 2) & ((1u << bimodalBits) - 1));
-}
-
-unsigned
-TagePredictor::taggedIndex(Addr pc, unsigned table) const
-{
-    return static_cast<unsigned>(
-        (mix(pc >> 2) ^ foldedIdx_[table].comp ^ (table * 0x9e37u)) &
-        ((1u << taggedBits) - 1));
-}
-
-std::uint16_t
-TagePredictor::taggedTag(Addr pc, unsigned table) const
-{
-    return static_cast<std::uint16_t>(
-        (mix(pc) ^ (foldedTag_[table].comp << 1) ^ table) &
-        ((1u << tagBits) - 1));
+    Indices ix;
+    ix.bimodal =
+        static_cast<unsigned>((pc >> 2) & ((1u << bimodalBits) - 1));
+    const std::uint64_t index_hash = mix(pc >> 2);
+    const std::uint64_t tag_hash = mix(pc);
+    for (unsigned t = 0; t < numTagged; ++t) {
+        ix.index[t] = static_cast<std::uint16_t>(
+            (index_hash ^ foldedIdx_[t] ^ (t * 0x9e37u)) &
+            ((1u << taggedBits) - 1));
+        ix.tag[t] = static_cast<std::uint16_t>(
+            (tag_hash ^ (foldedTag_[t] << 1) ^ t) & ((1u << tagBits) - 1));
+    }
+    return ix;
 }
 
 bool
-TagePredictor::lookup(Addr pc, int &provider, int &alt_pred) const
+TagePredictor::lookup(const Indices &ix, int &provider,
+                      int &alt_pred) const
 {
     provider = -1;
     int alt_provider = -1;
     for (int t = numTagged - 1; t >= 0; --t) {
-        const auto &e = tagged_[t][taggedIndex(pc, t)];
-        if (e.tag == taggedTag(pc, t)) {
+        const auto &e = tagged_[t][ix.index[t]];
+        if (e.tag == ix.tag[t]) {
             if (provider < 0) {
                 provider = t;
             } else if (alt_provider < 0) {
@@ -106,14 +98,14 @@ TagePredictor::lookup(Addr pc, int &provider, int &alt_pred) const
         }
     }
 
-    bool bim = bimodal_[bimodalIndex(pc)] >= 0;
+    bool bim = bimodal_[ix.bimodal] >= 0;
     alt_pred = alt_provider >= 0
-        ? (tagged_[alt_provider][taggedIndex(pc, alt_provider)].ctr >= 0)
+        ? (tagged_[alt_provider][ix.index[alt_provider]].ctr >= 0)
         : bim;
 
     if (provider < 0)
         return bim;
-    const auto &e = tagged_[provider][taggedIndex(pc, provider)];
+    const auto &e = tagged_[provider][ix.index[provider]];
     // "Use alternate on newly allocated" heuristic: weak counters with
     // no proven usefulness fall back to the alternate prediction.
     bool weak = (e.ctr == 0 || e.ctr == -1) && e.useful == 0;
@@ -126,24 +118,24 @@ bool
 TagePredictor::predict(Addr pc)
 {
     int provider, alt;
-    return lookup(pc, provider, alt);
+    return lookup(indices(pc), provider, alt);
 }
 
 void
-TagePredictor::allocate(Addr pc, bool taken, int provider)
+TagePredictor::allocate(const Indices &ix, bool taken, int provider)
 {
     // Allocate in a longer-history table than the provider.
     for (unsigned t = provider + 1; t < numTagged; ++t) {
-        auto &e = tagged_[t][taggedIndex(pc, t)];
+        auto &e = tagged_[t][ix.index[t]];
         if (e.useful == 0) {
-            e.tag = taggedTag(pc, t);
+            e.tag = ix.tag[t];
             e.ctr = taken ? 0 : -1;
             return;
         }
     }
     // No free slot: decay usefulness along the way.
     for (unsigned t = provider + 1; t < numTagged; ++t) {
-        auto &e = tagged_[t][taggedIndex(pc, t)];
+        auto &e = tagged_[t][ix.index[t]];
         if (e.useful > 0)
             --e.useful;
     }
@@ -152,13 +144,14 @@ TagePredictor::allocate(Addr pc, bool taken, int provider)
 bool
 TagePredictor::update(Addr pc, bool taken)
 {
+    const Indices ix = indices(pc);
     int provider, alt_i;
-    bool pred = lookup(pc, provider, alt_i);
+    bool pred = lookup(ix, provider, alt_i);
     bool alt_pred = alt_i != 0;
     bool correct = (pred == taken);
 
     if (provider >= 0) {
-        auto &e = tagged_[provider][taggedIndex(pc, provider)];
+        auto &e = tagged_[provider][ix.index[provider]];
         bool provider_pred = e.ctr >= 0;
         if (provider_pred != alt_pred) {
             if (provider_pred == taken) {
@@ -184,9 +177,9 @@ TagePredictor::update(Addr pc, bool taken)
                 --e.ctr;
         }
         if (provider_pred != taken)
-            allocate(pc, taken, provider);
+            allocate(ix, taken, provider);
     } else {
-        auto &c = bimodal_[bimodalIndex(pc)];
+        auto &c = bimodal_[ix.bimodal];
         if (taken) {
             if (c < 1)
                 ++c;
@@ -195,7 +188,7 @@ TagePredictor::update(Addr pc, bool taken)
                 --c;
         }
         if ((c >= 0) != taken || pred != taken)
-            allocate(pc, taken, -1);
+            allocate(ix, taken, -1);
     }
 
     pushHistory(taken);
