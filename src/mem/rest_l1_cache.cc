@@ -30,15 +30,12 @@ RestL1Cache::RestL1Cache(const CacheConfig &cfg, MemoryDevice &below,
 std::uint8_t
 RestL1Cache::coverMask(Addr addr, unsigned size) const
 {
-    const unsigned g = tcr_.granule();
     const unsigned first = detector_.granuleIndex(addr, blockSize_);
     const unsigned last =
         detector_.granuleIndex(addr + size - 1, blockSize_);
-    std::uint8_t mask = 0;
-    for (unsigned i = first; i <= last; ++i)
-        mask |= static_cast<std::uint8_t>(1u << i);
-    (void)g;
-    return mask;
+    // Bits first..last; none if the range wraps past the line's end.
+    return static_cast<std::uint8_t>(((2u << last) - 1) &
+                                     ~((1u << first) - 1));
 }
 
 std::pair<Cache::Line *, Cycles>
