@@ -1,247 +1,41 @@
 #include "sim/system.hh"
 
-#include "runtime/protection_scheme.hh"
-#include "util/logging.hh"
-
 namespace rest::sim
 {
 
-System::System(isa::Program program, const SystemConfig &cfg)
-    : cfg_(cfg), rng_(cfg.tokenSeed), engine_(tcr_), dram_(cfg.dramConfig),
-      l2_(cfg.l2Config, dram_), l1i_(cfg.l1iConfig, l2_),
-      l1d_(cfg.l1dConfig, l2_, memory_, tcr_),
-      program_(std::move(program))
+namespace
 {
-    // Install a fresh random token at the configured width/mode
-    // (privileged memory-mapped write, §III-A).
-    tcr_.writePrivileged(
-        core::TokenValue::generate(rng_, cfg.tokenWidth), cfg.mode);
 
-    // The registered backend for this config supplies the allocator,
-    // the (optional) per-access check policy, and the
-    // instrumentation pass.
-    const runtime::ProtectionScheme &ps =
-        runtime::schemeForConfig(cfg_.scheme);
-    runtime::SchemeParts parts = ps.instantiate(
-        {memory_, engine_, cfg_.scheme, cfg_.tokenSeed});
-    allocator_ = std::move(parts.allocator);
-    policy_ = parts.policy;
+std::vector<isa::Program>
+onlyProgram(isa::Program program)
+{
+    std::vector<isa::Program> programs;
+    programs.push_back(std::move(program));
+    return programs;
+}
 
-    instrumentation_ =
-        ps.instrument(program_, cfg_.scheme, tcr_.granule());
+} // namespace
 
-    emulator_ = std::make_unique<Emulator>(
-        program_, memory_, engine_, *allocator_, cfg_.scheme, policy_);
-
-    if (!cfg_.exec.sampling.valid()) {
-        rest_fatal("bad sampling config: need windowOps > 0 and "
-                   "warmupOps + windowOps <= intervalOps");
-    }
-    if (cfg_.exec.fastFunctional && cfg_.exec.sampling.active()) {
-        rest_fatal("fast-functional and sampled execution are "
-                   "mutually exclusive");
-    }
-    if (cfg_.exec.sampling.active() && cfg_.useInOrderCpu) {
-        rest_fatal("sampled execution requires the out-of-order "
-                   "cpu (the in-order model has no window "
-                   "checkpoint/restore)");
-    }
-
-    // Fast-functional runs need no timing CPU at all; sampled runs
-    // need both the O3 core and the functional driver.
-    if (!cfg_.exec.fastFunctional) {
-        if (cfg_.useInOrderCpu) {
-            inorder_ = std::make_unique<cpu::InOrderCpu>(
-                cfg_.inorderConfig, l1i_, l1d_);
-        } else {
-            o3_ = std::make_unique<cpu::O3Cpu>(
-                cfg_.cpuConfig, cfg_.mode, l1i_, l1d_);
-        }
-    }
-    if (!cfg_.exec.detailed())
-        fast_ = std::make_unique<FastFunctional>(cfg_.mode);
-
-    if (cfg_.trace.active()) {
-        traceSink_ = std::make_unique<trace::TraceSink>(cfg_.trace);
-        if (cfg_.trace.statsEvery != 0) {
-            traceSink_->registerStatGroup(
-                o3_ ? &o3_->statGroup()
-                    : inorder_ ? &inorder_->statGroup()
-                               : &fast_->statGroup());
-            traceSink_->registerStatGroup(&l1i_.statGroup());
-            traceSink_->registerStatGroup(&l1d_.statGroup());
-            traceSink_->registerStatGroup(&l2_.statGroup());
-            traceSink_->registerStatGroup(&dram_.statGroup());
-        }
-    }
+System::System(isa::Program program, const SystemConfig &cfg)
+    : machine_(onlyProgram(std::move(program)), MultiCoreConfig{cfg})
+{
 }
 
 SystemResult
 System::run()
 {
+    const MultiCoreResult mr = machine_.run();
     SystemResult res;
-    res.instrumentation = instrumentation_;
-
-    // Install this system's sink thread-locally for the duration of
-    // the run: parallel sweep jobs each trace into private storage.
-    trace::ScopedSink scoped(traceSink_.get());
-    if (cfg_.exec.fastFunctional) {
-        res.fastFunctional = true;
-        res.run = fast_->run(*emulator_, cfg_.maxOps);
-    } else if (cfg_.exec.sampling.active()) {
-        res.sampled = true;
-        res.run = runSampledLoop(res.sampling);
-    } else {
-        res.run = o3_ ? o3_->run(*emulator_, cfg_.maxOps)
-                      : inorder_->run(*emulator_, cfg_.maxOps);
-    }
-    if (traceSink_) {
-        traceSink_->flushStats(res.run.cycles);
-        if (!cfg_.trace.traceOutPath.empty())
-            traceSink_->writeChromeTraceFile(cfg_.trace.traceOutPath);
-        if (!cfg_.trace.pipeViewPath.empty())
-            traceSink_->writePipeViewFile(cfg_.trace.pipeViewPath);
-    }
-    res.armsExecuted = engine_.armsExecuted();
-    res.disarmsExecuted = engine_.disarmsExecuted();
-
-    res.mallocCalls = allocator_->heapState().mallocCalls;
-    res.freeCalls = allocator_->heapState().freeCalls;
+    res.run = mr.cores[0];
+    res.instrumentation = mr.instrumentation[0];
+    res.fastFunctional = mr.fastFunctional;
+    res.sampled = mr.sampled;
+    res.sampling = mr.sampling;
+    res.armsExecuted = mr.armsExecuted;
+    res.disarmsExecuted = mr.disarmsExecuted;
+    res.mallocCalls = mr.mallocCalls;
+    res.freeCalls = mr.freeCalls;
     return res;
-}
-
-cpu::RunResult
-System::runSampledLoop(SamplingEstimate &est)
-{
-    const SamplingConfig &sc = cfg_.exec.sampling;
-    cpu::RunResult total;
-    std::vector<WindowSample> windows;
-    std::uint64_t detailed_ops = 0, ff_ops = 0;
-    Cycles detailed_cycles = 0;
-
-    // Fold one detailed segment into the totals. The O3 model's
-    // violation.seq is local to its run() call; offsetting by the ops
-    // retired before the call restores the global sequence number
-    // (identical to what an unbroken detailed run reports).
-    auto absorbDetailed = [&total](const cpu::RunResult &r,
-                                   std::uint64_t ops_before) {
-        total.committedOps += r.committedOps;
-        for (unsigned s = 0; s < r.opsBySource.size(); ++s)
-            total.opsBySource[s] += r.opsBySource[s];
-        if (r.faulted()) {
-            total.violation = r.violation;
-            total.violation.seq += ops_before;
-        }
-    };
-
-    auto more = [this, &total] {
-        return !total.faulted() && !emulator_->halted() &&
-               total.committedOps < cfg_.maxOps;
-    };
-
-    while (more()) {
-        // Detailed segment: warmup (cycles discarded) + window. The
-        // pipeline clock restarts at 0, so the memory hierarchy must
-        // drop any absolute in-flight timestamps recorded under the
-        // previous segment's clock (contents survive; only fills that
-        // would otherwise read as still-pending are forgotten).
-        o3_->resetPipeline();
-        l1i_.resetTiming();
-        l1d_.resetTiming();
-        Cycles seg_cycles = 0, warm_cycles = 0;
-        std::uint64_t warm = std::min(
-            sc.warmupOps, cfg_.maxOps - total.committedOps);
-        if (warm != 0) {
-            std::uint64_t before = total.committedOps;
-            cpu::RunResult r = o3_->run(*emulator_, warm);
-            warm_cycles = seg_cycles = r.cycles;
-            detailed_ops += r.committedOps;
-            absorbDetailed(r, before);
-        }
-        if (more()) {
-            std::uint64_t want = std::min(
-                sc.windowOps, cfg_.maxOps - total.committedOps);
-            std::uint64_t before = total.committedOps;
-            cpu::RunResult r = o3_->run(*emulator_, want);
-            // O3 pipeline state persists across run() calls, so
-            // r.cycles is the commit clock since resetPipeline();
-            // the window's own cost is the delta past the warmup.
-            if (r.committedOps != 0)
-                windows.push_back(
-                    {r.committedOps, r.cycles - warm_cycles});
-            seg_cycles = r.cycles;
-            detailed_ops += r.committedOps;
-            absorbDetailed(r, before);
-        }
-        detailed_cycles += seg_cycles;
-
-        // Functional fast-forward to the end of the period. Fault
-        // detection is architectural (the emulator), so a violation
-        // inside the gap surfaces identically; its seq is already
-        // the emulator's global sequence number.
-        if (more()) {
-            std::uint64_t skip = std::min(
-                sc.intervalOps - sc.warmupOps - sc.windowOps,
-                cfg_.maxOps - total.committedOps);
-            if (skip != 0) {
-                cpu::RunResult r = fast_->run(*emulator_, skip);
-                total.committedOps += r.committedOps;
-                for (unsigned s = 0; s < r.opsBySource.size(); ++s)
-                    total.opsBySource[s] += r.opsBySource[s];
-                if (r.faulted())
-                    total.violation = r.violation;
-                ff_ops += r.committedOps;
-            }
-        }
-    }
-
-    est = estimateCycles(windows, detailed_ops, detailed_cycles,
-                         ff_ops);
-    total.cycles = est.extrapolatedCycles;
-    return total;
-}
-
-const stats::StatGroup &
-System::cpuStats() const
-{
-    if (o3_)
-        return o3_->statGroup();
-    if (inorder_)
-        return inorder_->statGroup();
-    return fast_->statGroup();
-}
-
-std::vector<stats::StatSnapshot>
-System::statSnapshots() const
-{
-    // Every registered group snapshots on the same statsTick
-    // boundaries; merge the per-group series by cycle.
-    std::map<Cycles, std::map<std::string, std::uint64_t>> merged;
-    const stats::StatGroup *groups[] = {
-        &cpuStats(), &l1i_.statGroup(), &l1d_.statGroup(),
-        &l2_.statGroup(), &dram_.statGroup(),
-    };
-    for (const auto *g : groups) {
-        for (const auto &snap : g->snapshots()) {
-            auto &cell = merged[snap.cycle];
-            cell.insert(snap.deltas.begin(), snap.deltas.end());
-        }
-    }
-    std::vector<stats::StatSnapshot> out;
-    out.reserve(merged.size());
-    for (auto &[cycle, deltas] : merged)
-        out.push_back({cycle, std::move(deltas)});
-    return out;
-}
-
-void
-System::dumpStats(std::ostream &os) const
-{
-    cpuStats().dump(os);
-    l1i_.statGroup().dump(os);
-    l1d_.statGroup().dump(os);
-    l2_.statGroup().dump(os);
-    dram_.statGroup().dump(os);
 }
 
 } // namespace rest::sim

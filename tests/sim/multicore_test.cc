@@ -2,10 +2,6 @@
  * @file
  * MultiCoreSystem invariants (DESIGN.md §16):
  *
- *   - a 1-core multicore machine IS the single-core System: same
- *     program, same config, equal cycles/ops/stats, byte-identical
- *     stat dump (the bus-less 1-core path must not perturb the
- *     paper's single-core evaluation machine);
  *   - an N-core run is deterministic: two fresh machines over the
  *     same config produce byte-identical results, including the full
  *     stats dump and — for the attack pairs — the same faulting core
@@ -19,25 +15,14 @@
 #include <sstream>
 
 #include "sim/multicore.hh"
-#include "sim/system.hh"
 #include "workload/attack_scenarios.hh"
 #include "workload/server_mix.hh"
-#include "workload/spec_profiles.hh"
 
 namespace rest::sim
 {
 
 namespace
 {
-
-/** A small single-core benchmark program. */
-isa::Program
-benchProgram()
-{
-    workload::BenchProfile p = workload::specSuite().front();
-    p.targetKiloInsts = 30;
-    return workload::generate(p);
-}
 
 /** The 4-core server mix at test size. */
 std::vector<isa::Program>
@@ -70,64 +55,6 @@ statsDump(MultiCoreSystem &sys)
 }
 
 } // namespace
-
-TEST(MultiCore, OneCoreMachineMatchesSystemDetailed)
-{
-    for (const runtime::SchemeConfig &scheme :
-         {runtime::SchemeConfig::plain(),
-          runtime::SchemeConfig::restFull(),
-          runtime::SchemeConfig::asanFull()}) {
-        isa::Program prog = benchProgram();
-
-        SystemConfig sc;
-        sc.scheme = scheme;
-        System single(prog, sc);
-        SystemResult sr = single.run();
-
-        MultiCoreSystem multi({prog}, machineConfig(1, scheme));
-        MultiCoreResult mr = multi.run();
-
-        ASSERT_FALSE(sr.run.faulted()) << scheme.name();
-        ASSERT_FALSE(mr.faulted()) << scheme.name();
-        EXPECT_EQ(mr.cycles, sr.run.cycles) << scheme.name();
-        EXPECT_EQ(mr.committedOps, sr.run.committedOps)
-            << scheme.name();
-        EXPECT_EQ(mr.cores[0].cycles, sr.run.cycles);
-        EXPECT_EQ(nullptr, multi.bus());
-
-        // The private hierarchy behaves identically: same L1-D and
-        // L2 counters op for op.
-        std::ostringstream a, b;
-        single.dcache().statGroup().dump(a);
-        multi.dcache(0).statGroup().dump(b);
-        EXPECT_EQ(a.str(), b.str()) << scheme.name();
-        std::ostringstream c, d;
-        single.l2cache().statGroup().dump(c);
-        multi.l2cache().statGroup().dump(d);
-        EXPECT_EQ(c.str(), d.str()) << scheme.name();
-    }
-}
-
-TEST(MultiCore, OneCoreMachineMatchesSystemFastFunctional)
-{
-    isa::Program prog = benchProgram();
-
-    SystemConfig sc;
-    sc.scheme = runtime::SchemeConfig::restFull();
-    sc.exec.fastFunctional = true;
-    System single(prog, sc);
-    SystemResult sr = single.run();
-
-    MultiCoreSystem multi(
-        {prog},
-        machineConfig(1, runtime::SchemeConfig::restFull(), true));
-    MultiCoreResult mr = multi.run();
-
-    ASSERT_FALSE(mr.faulted());
-    EXPECT_TRUE(mr.fastFunctional);
-    EXPECT_EQ(mr.cycles, sr.run.cycles);
-    EXPECT_EQ(mr.committedOps, sr.run.committedOps);
-}
 
 TEST(MultiCore, FourCoreServerMixIsByteIdenticallyDeterministic)
 {

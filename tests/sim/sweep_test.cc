@@ -181,7 +181,7 @@ TEST(SweepRunner, FatalJobFailsOnlyItsOwnCell)
                 // message reads the same in every checkout.
                 EXPECT_TRUE(std::regex_search(
                     out[i].error,
-                    std::regex(" @ src/sim/system\\.cc:[0-9]+$")))
+                    std::regex(" @ src/sim/multicore\\.cc:[0-9]+$")))
                     << out[i].error;
                 continue;
             }
