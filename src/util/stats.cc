@@ -8,29 +8,13 @@ namespace rest::stats
 void
 StatGroup::dump(std::ostream &os) const
 {
-    auto line = [&](const std::string &stat, const std::string &val) {
+    for (const auto &[stat, scalar] : scalars_) {
         os << std::left << std::setw(46) << (name_ + "." + stat)
-           << std::setw(20) << val;
+           << std::setw(20) << std::to_string(scalar.value());
         auto it = descs_.find(stat);
         if (it != descs_.end() && !it->second.empty())
             os << "# " << it->second;
         os << "\n";
-    };
-
-    for (const auto &[stat, scalar] : scalars_)
-        line(stat, std::to_string(scalar.value()));
-
-    for (const auto &[stat, dist] : dists_) {
-        line(stat + "::count", std::to_string(dist.count()));
-        line(stat + "::mean", std::to_string(dist.mean()));
-        line(stat + "::min", std::to_string(dist.minValue()));
-        line(stat + "::max", std::to_string(dist.maxValue()));
-    }
-
-    for (const auto &[stat, formula] : formulas_) {
-        std::ostringstream v;
-        v << std::setprecision(6) << formula.value();
-        line(stat, v.str());
     }
 }
 
