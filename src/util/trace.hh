@@ -23,10 +23,11 @@
  *      emitted in gem5's O3PipeView line format so standard pipeline
  *      viewers (Konata, gem5's util/o3-pipeview.py) work unchanged.
  *
- * Sink model: events flow to a TraceSink. A System installs its own
- * sink thread-locally for the duration of System::run() (ScopedSink),
- * so parallel sweep jobs each trace into private storage and never
- * interleave. When no per-System sink is installed, an optional
+ * Sink model: events flow to a TraceSink. A one-core machine
+ * (sim::MultiCoreSystem, which sim::System wraps) installs its own
+ * sink thread-locally for the duration of run() (ScopedSink), so
+ * parallel sweep jobs each trace into private storage and never
+ * interleave. When no per-machine sink is installed, an optional
  * process-global sink (installed by the bench harnesses from
  * --debug-flags / REST_DEBUG_FLAGS) receives events instead; the
  * global sink is internally locked. With neither installed — the
@@ -315,7 +316,7 @@ TraceSink *sink();
 TraceSink *setGlobalSink(TraceSink *s);
 
 /** RAII: install a sink thread-locally; restores the previous sink on
- *  destruction. System::run() wraps itself in one of these. */
+ *  destruction. MultiCoreSystem::run() wraps itself in one of these. */
 class ScopedSink
 {
   public:
