@@ -32,8 +32,6 @@
  *                         10000)
  *   --sample-interval N   total ops per period; the rest fast-forwards
  *                         functionally (0 = sampling off, the default)
- *   --perf                run the harness's simulator-throughput probe
- *                         and record the "perf" block in the JSON
  *   --debug-flags CSV     enable debug flags (e.g. O3Pipe,Cache; the
  *                         REST_DEBUG_FLAGS env var is the fallback)
  *   --debug-start T       first tick debug flags are live
@@ -170,9 +168,6 @@ struct Options
     /** --workload: multicore workload shape; "server" (the Zipf
      *  server mix) is the only registered shape. */
     std::string workload = "server";
-    /** --perf: run the harness's simulator-throughput probe (where
-     *  supported) and record the "perf" block in the results JSON. */
-    bool perfProbe = false;
     /** Execution mode (--fast-functional / --sample-*); the default
      *  is all-detailed and leaves every sweep byte-identical. */
     sim::ExecutionConfig exec;
@@ -222,9 +217,6 @@ usage(const std::string &figure, int status)
         << "  --no-json          disable the results file\n"
         << "  --detail           extra per-figure detail\n"
         << "  --bench NAME       run only the named benchmark row\n"
-        << "  --perf             run the simulator-throughput probe "
-        << "and record the\n"
-        << "                     \"perf\" block in the results JSON\n"
         << "  --fast-functional  functional retirement: identical "
         << "fault detection,\n"
         << "                     nominal cycles (CPI 1); for detection "
@@ -433,8 +425,6 @@ parseOptions(int argc, char **argv, const std::string &figure)
                           << opt.workload << "\" (want server)\n";
                 usage(figure, 1);
             }
-        } else if (a == "--perf") {
-            opt.perfProbe = true;
         } else if (a == "--fast-functional") {
             opt.exec.fastFunctional = true;
         } else if (a == "--sample-warmup") {
@@ -632,8 +622,8 @@ runMatrix(const std::string &sweep_name,
     const unsigned seeds = numSeeds();
     const std::uint64_t ki = kiloInsts();
 
-    // --bench narrows the matrix to one row (CI perf-smoke runs one
-    // benchmark instead of the whole suite).
+    // --bench narrows the matrix to one row (CI's fast-functional
+    // smoke runs one benchmark instead of the whole suite).
     std::vector<workload::BenchProfile> rows_run;
     if (opt.benchFilter.empty()) {
         rows_run = rows;
@@ -808,36 +798,6 @@ measure(const workload::BenchProfile &base, sim::ExpConfig config,
     return static_cast<Cycles>(total / seeds);
 }
 
-/**
- * Measure simulator throughput — simulated kilo-instructions retired
- * per second of host wall-clock (KIPS) — for one benchmark under one
- * preset and execution mode. One untimed warmup run (spins the CPU
- * back up to full frequency and faults in the host pages), then best
- * of 'reps' identical timed runs (standard timing methodology: the
- * fastest is the least-contended sample on a shared host), no seed
- * averaging: this measures the simulator, not the simulated machine.
- */
-inline double
-measureKips(const workload::BenchProfile &base, sim::ExpConfig config,
-            const sim::ExecutionConfig &exec = {}, unsigned reps = 3)
-{
-    workload::BenchProfile p = base;
-    p.targetKiloInsts = kiloInsts();
-    double best = 0.0;
-    sim::runBench(p, config, core::TokenWidth::Bytes64, false, exec);
-    for (unsigned r = 0; r < reps; ++r) {
-        sim::Measurement m = sim::runBench(
-            p, config, core::TokenWidth::Bytes64, false, exec);
-        // Simulation time only (workload generation and System
-        // construction excluded) — the fast modes finish in tens of
-        // milliseconds, where setup would otherwise dominate.
-        if (m.simWallSeconds > 0)
-            best = std::max(best,
-                            double(m.ops) / 1000.0 / m.simWallSeconds);
-    }
-    return best;
-}
-
 // ---------------------------------------------------------------------
 // Output
 // ---------------------------------------------------------------------
@@ -890,13 +850,10 @@ printOverheadTable(const MatrixResult &mat)
     printRow("GeoMean", geo);
 }
 
-/** Assemble and write BENCH_<figure>.json if enabled. A valid `perf`
- *  record (from measureKips() probes) serialises as the optional
- *  "perf" block. */
+/** Assemble and write BENCH_<figure>.json if enabled. */
 inline void
 writeResults(const Options &opt, const std::string &figure,
-             std::vector<sim::SweepResults> sweeps,
-             const sim::PerfRecord &perf = {})
+             std::vector<sim::SweepResults> sweeps)
 {
     if (!opt.json)
         return;
@@ -905,7 +862,6 @@ writeResults(const Options &opt, const std::string &figure,
     f.kiloInsts = kiloInsts();
     f.seedsPerCell = numSeeds();
     f.jobs = opt.jobs;
-    f.perf = perf;
     f.sweeps = std::move(sweeps);
     if (sim::writeJsonFile(f, opt.jsonPath))
         std::cout << "\nresults: " << opt.jsonPath << "\n";

@@ -6,7 +6,9 @@
  * arithmetic mean (footnote 5) and geometric mean (footnote 6).
  *
  * The benchmark × configuration matrix runs on the parallel sweep
- * runner (--jobs N); results are written to BENCH_fig7.json.
+ * runner (--jobs N); results are written to BENCH_fig7.json. How fast
+ * the simulator runs this matrix is perfbench's spec_detailed workload,
+ * not a figure of this harness.
  *
  * Pass --detail to additionally print the §VI-B microarchitectural
  * effects for xalancbmk (ROB-blocked-by-store and IQ-full cycles in
@@ -41,52 +43,6 @@ detailXalancbmk()
                   << double(m.scalars["l1d.token_evictions"]) / kinst
                   << "\n";
     }
-}
-
-/**
- * The --perf probe: simulator throughput (simulated KIPS of host
- * wall-clock) for each execution mode on one benchmark under Secure
- * Full. Measures the simulator itself, so one run per mode, no seed
- * averaging; the fast-functional and sampled speedups land in the
- * results JSON for CI's perf-smoke job to assert against.
- */
-sim::PerfRecord
-perfProbe()
-{
-    const char *probe_bench = "xalancbmk";
-    auto p = workload::profileByName(probe_bench);
-
-    sim::ExecutionConfig fast;
-    fast.fastFunctional = true;
-    sim::ExecutionConfig sampled;
-    sampled.sampling.intervalOps = 100000;
-
-    sim::PerfRecord perf;
-    perf.bench = probe_bench;
-    perf.kiloInsts = bench::kiloInsts();
-    // 5 timed reps per mode: the host is shared, so the best-of
-    // estimate needs a few samples to find an uncontended window.
-    perf.kipsDetailed =
-        bench::measureKips(p, ExpConfig::RestSecureFull, {}, 5);
-    perf.kipsFastFunctional =
-        bench::measureKips(p, ExpConfig::RestSecureFull, fast, 5);
-    perf.kipsSampled =
-        bench::measureKips(p, ExpConfig::RestSecureFull, sampled, 5);
-    if (perf.kipsDetailed > 0) {
-        perf.speedupFastFunctional =
-            perf.kipsFastFunctional / perf.kipsDetailed;
-        perf.speedupSampled = perf.kipsSampled / perf.kipsDetailed;
-    }
-
-    std::cout << "\n--- simulator throughput (" << probe_bench
-              << ", Secure Full, " << perf.kiloInsts << " kinst) ---\n"
-              << std::fixed << std::setprecision(1)
-              << "detailed:        " << perf.kipsDetailed << " KIPS\n"
-              << "fast-functional: " << perf.kipsFastFunctional
-              << " KIPS (" << perf.speedupFastFunctional << "x)\n"
-              << "sampled:         " << perf.kipsSampled << " KIPS ("
-              << perf.speedupSampled << "x)\n";
-    return perf;
 }
 
 } // namespace
@@ -136,10 +92,7 @@ main(int argc, char **argv)
                  "PerfectHW within 0.2% of Secure;\nfull vs heap "
                  "differ by ~0.16% on average.\n";
 
-    sim::PerfRecord perf;
-    if (opt.perfProbe)
-        perf = perfProbe();
-    bench::writeResults(opt, "fig7", {std::move(mat.sweep)}, perf);
+    bench::writeResults(opt, "fig7", {std::move(mat.sweep)});
 
     if (opt.detail)
         detailXalancbmk();

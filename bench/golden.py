@@ -5,9 +5,9 @@ Runs fig3_asan_breakdown, fig7_overheads and multicore_scaling at the
 settings recorded in BENCH_fig3.json, BENCH_fig7.json and
 BENCH_multicore.json (kiloinsts, seeds per cell) and compares each fresh
 file with the committed one byte for byte, ignoring only the top-level
-"perf" block (host throughput) and "jobs" field (worker count). Exits 1
-and prints a unified diff on any other difference. Each harness picks
-its own worker count (REST_BENCH_JOBS, else the hardware threads).
+"jobs" field (worker count). Exits 1 and prints a unified diff on any
+other difference. Each harness picks its own worker count
+(REST_BENCH_JOBS, else the hardware threads).
 
     python3 bench/golden.py [--build BUILD_DIR]
 """
@@ -27,8 +27,7 @@ HARNESSES = {
     'multicore': 'multicore_scaling',
 }
 
-IGNORED = re.compile(r'^  "jobs": \d+,\n|^  "perf": \{\n(?:    .*\n)*  \},\n',
-                     re.M)
+IGNORED = re.compile(r'^  "jobs": \d+,\n', re.M)
 
 
 def comparable(text):

@@ -4,7 +4,7 @@
  * scheme's overhead behave when the paper's single-core evaluation
  * machine becomes an N-core MESI-coherent server?
  *
- * Three measurements, all on the Zipf server mix
+ * Two measurements, both on the Zipf server mix
  * (workload/server_mix.hh) over sim::MultiCoreSystem:
  *
  *   1. Scaling sweep: core counts (powers of two up to --cores) ×
@@ -19,10 +19,9 @@
  *      tab3's conformance gate (a mismatch fails the run). REST's
  *      cross-thread verdicts flow through the per-L1 token detector
  *      on real coherence transfers.
- *   3. --perf: simulator-throughput probe (KIPS, detailed vs
- *      fast-functional) of the multicore machine itself, recorded as
- *      the standard "perf" block so bench/perf_report can guard the
- *      committed trajectory.
+ *
+ * How fast the simulator runs the multicore machine is perfbench's
+ * server_multicore workload, not a figure of this harness.
  *
  * Results land in BENCH_multicore.json using the standard results
  * schema (sim/results.hh): one "scaling" sweep shaped rows=cores ×
@@ -31,7 +30,6 @@
  * scalars.
  */
 
-#include <chrono>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -113,7 +111,6 @@ struct McRun
 {
     sim::MultiCoreResult res;
     std::map<std::string, std::uint64_t> scalars;
-    double simWallSeconds = 0.0;
     bool ok = false;          ///< retired cleanly (no fault)
     std::string error;
 };
@@ -131,12 +128,7 @@ runMix(const runtime::SchemeConfig &scheme, unsigned cores,
     mc.cores = cores;
     sim::MultiCoreSystem sys(workload::serverMix(mixConfig(cores)), mc);
 
-    const auto t0 = std::chrono::steady_clock::now();
     out.res = sys.run();
-    out.simWallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
 
     if (out.res.faulted()) {
         // The server mix is benign: a fault here is a scheme bug
@@ -180,23 +172,6 @@ machineCpi(const sim::MultiCoreResult &res)
     return res.committedOps
                ? double(res.cycles) / double(res.committedOps)
                : std::numeric_limits<double>::quiet_NaN();
-}
-
-/** KIPS probe of the multicore machine (best of 'reps', like
- *  bench::measureKips: one warmup, fastest timed run). */
-double
-probeKips(const runtime::SchemeConfig &scheme, unsigned cores,
-          bool fast_functional, unsigned reps = 3)
-{
-    double best = 0.0;
-    runMix(scheme, cores, fast_functional);
-    for (unsigned r = 0; r < reps; ++r) {
-        McRun run = runMix(scheme, cores, fast_functional);
-        if (run.ok && run.simWallSeconds > 0)
-            best = std::max(best, double(run.res.committedOps) /
-                                      1000.0 / run.simWallSeconds);
-    }
-    return best;
 }
 
 } // namespace
@@ -407,30 +382,9 @@ main(int argc, char **argv)
                       << " cross-thread verdicts do not match its "
                       << "declared profile\n";
 
-    // ---- 3. --perf: multicore simulator throughput ----
-    sim::PerfRecord perf;
-    if (opt.perfProbe) {
-        const runtime::SchemeConfig rest_cfg =
-            runtime::SchemeConfig::restFull();
-        perf.bench = "server_mix@" + std::to_string(opt.cores) +
-                     "-core";
-        perf.kiloInsts = bench::kiloInsts();
-        perf.kipsDetailed = probeKips(rest_cfg, opt.cores, false);
-        perf.kipsFastFunctional = probeKips(rest_cfg, opt.cores, true);
-        if (perf.kipsDetailed > 0)
-            perf.speedupFastFunctional =
-                perf.kipsFastFunctional / perf.kipsDetailed;
-        std::cout << "\nSimulator throughput (" << perf.bench
-                  << ", KIPS): detailed " << std::fixed
-                  << std::setprecision(1) << perf.kipsDetailed
-                  << ", fast-functional " << perf.kipsFastFunctional
-                  << " (" << std::setprecision(1)
-                  << perf.speedupFastFunctional << "x)\n";
-    }
-
     std::vector<sim::SweepResults> sweeps;
     sweeps.push_back(std::move(scaling));
     sweeps.push_back(std::move(attacks));
-    bench::writeResults(opt, "multicore", std::move(sweeps), perf);
+    bench::writeResults(opt, "multicore", std::move(sweeps));
     return all_ok && all_conform ? 0 : 1;
 }

@@ -1,6 +1,5 @@
 #include "sim/experiment.hh"
 
-#include <chrono>
 #include <cmath>
 
 #include "isa/opcode.hh"
@@ -75,10 +74,7 @@ runSystem(const workload::BenchProfile &profile, const SystemConfig &cfg,
           const std::string &label, ExpConfig config)
 {
     System system(workload::generate(profile), cfg);
-    const auto run_t0 = std::chrono::steady_clock::now();
     SystemResult result = system.run();
-    const double run_wall = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - run_t0).count();
     // A fatal, not an assert: inside a sweep it fails this one job
     // (ScopedFatalThrow) instead of aborting the whole figure run.
     if (result.faulted())
@@ -93,7 +89,6 @@ runSystem(const workload::BenchProfile &profile, const SystemConfig &cfg,
     m.cycles = result.cycles();
     m.ops = result.run.committedOps;
     m.execMode = cfg.exec.modeName();
-    m.simWallSeconds = run_wall;
     if (result.sampled) {
         m.samplingErrorPct = result.sampling.cpiStdErrPct;
         m.sampleWindows = result.sampling.windows;

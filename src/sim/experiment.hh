@@ -64,11 +64,6 @@ struct Measurement
     double samplingErrorPct = 0.0;
     std::uint64_t sampleWindows = 0;
     std::uint64_t fastForwardedOps = 0;
-    /** Host wall-clock seconds spent inside System::run() — workload
-     *  generation, instrumentation and System construction excluded,
-     *  so ops/simWallSeconds is simulator throughput (the same
-     *  convention as gem5's host_inst_rate). */
-    double simWallSeconds = 0.0;
     /** Component counters ("o3cpu.*", "l1d.*") snapshotted before the
      *  System is torn down; feeds the JSON results layer. */
     std::map<std::string, std::uint64_t> scalars;

@@ -120,20 +120,6 @@ writeJson(const ResultsFile &results, std::ostream &os)
     w.field("kiloinsts", results.kiloInsts);
     w.field("seeds_per_cell", results.seedsPerCell);
     w.field("jobs", results.jobs);
-    if (results.perf.valid()) {
-        w.key("perf");
-        w.beginObject();
-        w.field("bench", results.perf.bench);
-        w.field("kiloinsts", results.perf.kiloInsts);
-        w.field("kips_detailed", results.perf.kipsDetailed);
-        w.field("kips_fast_functional",
-                results.perf.kipsFastFunctional);
-        w.field("kips_sampled", results.perf.kipsSampled);
-        w.field("speedup_fast_functional",
-                results.perf.speedupFastFunctional);
-        w.field("speedup_sampled", results.perf.speedupSampled);
-        w.endObject();
-    }
     w.key("sweeps");
     w.beginArray();
     for (const auto &sweep : results.sweeps)

@@ -9,14 +9,6 @@
  *     "schema_version": 1,
  *     "figure": "fig7",
  *     "kiloinsts": 1000, "seeds_per_cell": 2, "jobs": 8,
- *     // optional: simulator throughput per execution mode, present
- *     // only when the harness ran its perf probe (--perf):
- *     "perf": { "bench": "gcc", "kiloinsts": 1000,
- *               "kips_detailed": 810.0,
- *               "kips_fast_functional": 14200.0,
- *               "kips_sampled": 5100.0,
- *               "speedup_fast_functional": 17.5,
- *               "speedup_sampled": 6.3 },
  *     "sweeps": [
  *       {
  *         "name": "overheads",
@@ -97,25 +89,6 @@ struct SweepResults
     std::map<std::string, double> geoMeanPct;
 };
 
-/**
- * Simulator-throughput record: simulated kilo-instructions per second
- * of host wall-clock for each execution mode on one probe benchmark.
- * Serialised as the optional "perf" object (only when valid()), so
- * harnesses that never measure throughput emit unchanged JSON.
- */
-struct PerfRecord
-{
-    std::string bench;
-    std::uint64_t kiloInsts = 0;
-    double kipsDetailed = 0.0;
-    double kipsFastFunctional = 0.0;
-    double kipsSampled = 0.0;
-    double speedupFastFunctional = 0.0;
-    double speedupSampled = 0.0;
-
-    bool valid() const { return kipsDetailed > 0.0; }
-};
-
 /** A whole results file: every sweep one harness invocation ran. */
 struct ResultsFile
 {
@@ -123,7 +96,6 @@ struct ResultsFile
     std::uint64_t kiloInsts = 0;
     unsigned seedsPerCell = 0;
     unsigned jobs = 0;
-    PerfRecord perf;
     std::vector<SweepResults> sweeps;
 };
 
