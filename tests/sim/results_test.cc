@@ -14,9 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json_reader.hh"
 #include "sim/results.hh"
 #include "sim/sweep.hh"
-#include "util/json_reader.hh"
 
 namespace rest::sim
 {

@@ -17,10 +17,10 @@
 #include <numeric>
 #include <sstream>
 
+#include "common/json_reader.hh"
 #include "common/test_util.hh"
 #include "sim/results.hh"
 #include "sim/sweep.hh"
-#include "util/json_reader.hh"
 #include "workload/spec_profiles.hh"
 
 namespace rest::sim

@@ -1,9 +1,9 @@
 /**
  * @file
- * util::JsonReader — the parser behind results-file loading and the
- * tests' JSON checks. The key contract: everything util::JsonWriter
- * emits parses back, and malformed input (a truncated file) reports
- * through ok() instead of throwing or aborting.
+ * util::JsonReader — the parser behind the tests' JSON checks. The
+ * key contract: everything util::JsonWriter emits parses back, and
+ * malformed input (a truncated file) reports through ok() instead of
+ * throwing or aborting.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 #include <sstream>
 #include <string>
 
-#include "util/json_reader.hh"
+#include "common/json_reader.hh"
 #include "util/json_writer.hh"
 
 namespace rest::util

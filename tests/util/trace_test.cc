@@ -12,7 +12,7 @@
 #include <sstream>
 #include <thread>
 
-#include "util/json_reader.hh"
+#include "common/json_reader.hh"
 #include "util/stats.hh"
 #include "util/trace.hh"
 
