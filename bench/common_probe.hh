@@ -8,7 +8,6 @@
 #ifndef REST_BENCH_COMMON_PROBE_HH
 #define REST_BENCH_COMMON_PROBE_HH
 
-#include "isa/program.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "workload/attack_scenarios.hh"
@@ -36,73 +35,6 @@ struct Results
     }
 };
 
-/**
- * A targeted (pointer-corruption style) access that jumps clean over
- * the redzones from one allocation's payload into another's: the
- * tripwire approach does not see it (Table III: "Linear" spatial
- * protection).
- */
-inline isa::Program
-targetedJumpProgram()
-{
-    using isa::Opcode;
-    isa::FuncBuilder b("main");
-    // a = malloc(64); b = malloc(64)
-    b.movImm(13, 64);
-    b.emit({Opcode::RtMalloc, isa::noReg, 13, isa::noReg, 8, 0, -1,
-            -1});
-    b.mov(1, isa::regRet);
-    b.emit({Opcode::RtMalloc, isa::noReg, 13, isa::noReg, 8, 0, -1,
-            -1});
-    b.mov(2, isa::regRet);
-    // Corrupted-pointer read: a + (b - a) lands exactly in b's
-    // payload, skipping both redzones.
-    b.alu(Opcode::Sub, 3, 2, 1);
-    b.alu(Opcode::Add, 4, 1, 3);
-    b.load(5, 4, 0, 8);
-    b.halt();
-    isa::Program prog;
-    prog.funcs.push_back(std::move(b).take());
-    return prog;
-}
-
-/**
- * UAF after the chunk has left quarantine and been recycled: the
- * dangling access hits a live allocation and goes undetected
- * (Table III: temporal protection "until realloc").
- */
-inline isa::Program
-uafAfterRecycleProgram()
-{
-    using isa::Opcode;
-    isa::FuncBuilder b("main");
-    b.movImm(13, 96);
-    b.emit({Opcode::RtMalloc, isa::noReg, 13, isa::noReg, 8, 0, -1,
-            -1});
-    b.mov(1, isa::regRet); // the dangling pointer
-    b.emit({Opcode::RtFree, isa::noReg, 1, isa::noReg, 8, 0, -1, -1});
-    // Churn until the quarantine recycles the chunk.
-    b.movImm(2, 80);
-    int loop = b.here();
-    b.movImm(13, 96);
-    b.emit({Opcode::RtMalloc, isa::noReg, 13, isa::noReg, 8, 0, -1,
-            -1});
-    b.mov(3, isa::regRet);
-    b.emit({Opcode::RtFree, isa::noReg, 3, isa::noReg, 8, 0, -1, -1});
-    b.addI(2, 2, -1);
-    b.branch(Opcode::Bne, 2, isa::regZero, loop);
-    // One live allocation that (very likely) recycles the chunk.
-    b.movImm(13, 96);
-    b.emit({Opcode::RtMalloc, isa::noReg, 13, isa::noReg, 8, 0, -1,
-            -1});
-    // The dangling access.
-    b.load(4, 1, 0, 8);
-    b.halt();
-    isa::Program prog;
-    prog.funcs.push_back(std::move(b).take());
-    return prog;
-}
-
 /** Run all probes against the REST implementation. */
 inline Results
 probeRest()
@@ -115,18 +47,21 @@ probeRest()
                       heap_cfg);
         res.linearCaught = s.run().faulted();
     }
-    { // Targeted jump: missed (by design of tripwires).
-        sim::System s(targetedJumpProgram(), heap_cfg);
+    { // Targeted jump from one payload clean over the redzones into
+      // another's: missed (by design of tripwires; Table III "Linear").
+        sim::System s(workload::attacks::pointerDiffJump(64, 64),
+                      heap_cfg);
         res.targetedMissed = !s.run().faulted();
     }
     { // UAF while quarantined: caught.
         sim::System s(workload::attacks::useAfterFree(96), heap_cfg);
         res.uafCaught = s.run().faulted();
     }
-    { // UAF after recycling: missed.
+    { // UAF after the quarantine recycled the chunk: missed
+      // (Table III: temporal protection "until realloc").
         auto cfg = heap_cfg;
         cfg.scheme.quarantineBudget = 2048; // drain quickly
-        sim::System s(uafAfterRecycleProgram(), cfg);
+        sim::System s(workload::attacks::useAfterRecycle(96, 80), cfg);
         res.uafAfterRecycleMissed = !s.run().faulted();
     }
     { // Shadow space: no page of the shadow region is ever touched.
