@@ -62,8 +62,8 @@ lsqSerializationAblation(const bench::Options &opt)
     serialized.cpuConfig.serializeRestOps = true;
     auto mat = bench::runMatrix(
         "lsq_serialization", profiles({"xalancbmk", "gcc", "gobmk"}),
-        {bench::customColumn("matching(%)", matching),
-         bench::customColumn("serialized(%)", serialized)},
+        {{"matching(%)", matching},
+         {"serialized(%)", serialized}},
         opt);
     printOverheads(mat);
     std::cout << "Expected: serialization costs strictly more, "
@@ -81,9 +81,9 @@ storeCommitAblation(const bench::Options &opt)
     delayed.cpuConfig.delayStoreCommit = true;
     auto mat = bench::runMatrix(
         "store_commit", profiles({"xalancbmk", "soplex", "lbm"}),
-        {bench::presetColumn("secure(%)", ExpConfig::RestSecureFull),
-         bench::customColumn("sec+delay(%)", delayed),
-         bench::presetColumn("debug(%)", ExpConfig::RestDebugFull)},
+        {{"secure(%)", sim::makeSystemConfig(ExpConfig::RestSecureFull)},
+         {"sec+delay(%)", delayed},
+         {"debug(%)", sim::makeSystemConfig(ExpConfig::RestDebugFull)}},
         opt);
     printOverheads(mat);
     std::cout << "Expected: delayed store commit accounts for nearly "
@@ -104,7 +104,7 @@ quarantineSweep(const bench::Options &opt)
           std::pair{4ul << 20, "4MiB(%)"}}) {
         auto cfg = sim::makeSystemConfig(ExpConfig::RestSecureHeap);
         cfg.scheme.quarantineBudget = budget;
-        columns.push_back(bench::customColumn(name, cfg));
+        columns.push_back({name, cfg});
     }
     auto mat = bench::runMatrix("quarantine_budget",
                                 profiles({"xalancbmk"}), columns,
@@ -124,8 +124,8 @@ criticalWordFirstAblation(const bench::Options &opt)
     off.cpuConfig.criticalWordFirst = false;
     auto mat = bench::runMatrix(
         "critical_word_first", profiles({"astar", "libquantum"}),
-        {bench::presetColumn("cwf on(%)", ExpConfig::RestSecureFull),
-         bench::customColumn("cwf off(%)", off)},
+        {{"cwf on(%)", sim::makeSystemConfig(ExpConfig::RestSecureFull)},
+         {"cwf off(%)", off}},
         opt);
     printOverheads(mat);
     std::cout << "The fill tail shows on latency-bound (chase) "
@@ -142,8 +142,8 @@ checkElisionAblation(const bench::Options &opt)
     elide.scheme.elideRedundantChecks = true;
     auto mat = bench::runMatrix(
         "check_elision", profiles({"bzip2", "hmmer", "xalancbmk"}),
-        {bench::presetColumn("asan(%)", ExpConfig::Asan),
-         bench::customColumn("asan+elide(%)", elide)},
+        {{"asan(%)", sim::makeSystemConfig(ExpConfig::Asan)},
+         {"asan+elide(%)", elide}},
         opt);
     printOverheads(mat);
     std::cout << "Expected: elision trims the access-validation "
@@ -169,10 +169,10 @@ loopOptimizerAblation(const bench::Options &opt)
     // invariant bases every iteration, the hoister's best case.
     auto mat = bench::runMatrix(
         "loop_optimizer", profiles({"hmmer", "libquantum", "lbm"}),
-        {bench::customColumn("elide(%)", elide),
-         bench::customColumn("+hoist(%)", hoist),
-         bench::customColumn("+coalesce(%)", coalesce),
-         bench::customColumn("+both(%)", both)},
+        {{"elide(%)", elide},
+         {"+hoist(%)", hoist},
+         {"+coalesce(%)", coalesce},
+         {"+both(%)", both}},
         opt);
     printOverheads(mat);
     std::cout << "Expected: hoisting removes per-iteration checks of "
@@ -192,8 +192,7 @@ schemeBackendAblation(const bench::Options &opt)
             continue; // the shared baseline column
         auto cfg = sim::makeSystemConfig(ExpConfig::Plain);
         cfg.scheme = ps->baseConfig();
-        columns.push_back(
-            bench::customColumn(std::string(ps->id()) + "(%)", cfg));
+        columns.push_back({std::string(ps->id()) + "(%)", cfg});
     }
     auto mat = bench::runMatrix("scheme_backends",
                                 profiles({"bzip2", "gobmk", "sjeng"}),
@@ -201,9 +200,10 @@ schemeBackendAblation(const bench::Options &opt)
     printOverheads(mat);
     std::cout << "asan pays for inline shadow checks, rest for token "
                  "sprinkling/arming; mte and\npauth only pay "
-                 "allocator-side tag costs (and mte's 16B granule "
-                 "rounding can pack\nthe heap tighter than libc size "
-                 "classes, reading as negative overhead).\n";
+                 "allocator-side tag costs (mte's STG is timed as a "
+                 "granule-wide\ndata store that write-allocates the "
+                 "payload line before first touch: a\nprefetch that "
+                 "can read as negative overhead).\n";
     return mat;
 }
 

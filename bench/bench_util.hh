@@ -22,8 +22,6 @@
  *   --cores N             largest core count of the multicore scaling
  *                         sweep (power-of-two counts up to N, plus N
  *                         itself when it is not a power of two)
- *   --workload NAME       multicore workload shape ("server": the
- *                         Zipf-popularity server mix)
  *   --fast-functional     retire ops functionally (no pipeline model);
  *                         detection is identical, cycles are nominal
  *   --sample-warmup N     detailed warmup ops per sampling period
@@ -165,9 +163,6 @@ struct Options
      *  (multicore_scaling runs power-of-two counts up to this, plus
      *  N itself when it is not a power of two). */
     unsigned cores = 8;
-    /** --workload: multicore workload shape; "server" (the Zipf
-     *  server mix) is the only registered shape. */
-    std::string workload = "server";
     /** Execution mode (--fast-functional / --sample-*); the default
      *  is all-detailed and leaves every sweep byte-identical. */
     sim::ExecutionConfig exec;
@@ -249,8 +244,6 @@ usage(const std::string &figure, int status)
         << "                     (power-of-two counts up to N, plus N "
         << "itself;\n"
         << "                     default 8)\n"
-        << "  --workload NAME    multicore workload shape (server, "
-        << "the default)\n"
         << "  --dump-program B[:S]  print benchmark B instrumented "
         << "for scheme S\n"
         << "                     (none, or a registered scheme: "
@@ -418,13 +411,6 @@ parseOptions(int argc, char **argv, const std::string &figure)
             opt.schemes = strArg(i, a);
         } else if (a == "--cores") {
             opt.cores = unsigned(u64Arg(i, a, 1, 64));
-        } else if (a == "--workload") {
-            opt.workload = strArg(i, a);
-            if (opt.workload != "server") {
-                std::cerr << figure << ": unknown --workload \""
-                          << opt.workload << "\" (want server)\n";
-                usage(figure, 1);
-            }
         } else if (a == "--fast-functional") {
             opt.exec.fastFunctional = true;
         } else if (a == "--sample-warmup") {
@@ -534,35 +520,8 @@ installGlobalTrace(const Options &opt)
 struct MatrixColumn
 {
     std::string name;
-    sim::ExpConfig config = sim::ExpConfig::Plain;
-    core::TokenWidth width = core::TokenWidth::Bytes64;
-    bool inorder = false;
-    bool custom = false;
-    sim::SystemConfig customConfig;
+    sim::SystemConfig cfg;
 };
-
-inline MatrixColumn
-presetColumn(std::string name, sim::ExpConfig config,
-             core::TokenWidth width = core::TokenWidth::Bytes64,
-             bool inorder = false)
-{
-    MatrixColumn c;
-    c.name = std::move(name);
-    c.config = config;
-    c.width = width;
-    c.inorder = inorder;
-    return c;
-}
-
-inline MatrixColumn
-customColumn(std::string name, const sim::SystemConfig &cfg)
-{
-    MatrixColumn c;
-    c.name = std::move(name);
-    c.custom = true;
-    c.customConfig = cfg;
-    return c;
-}
 
 /** Aggregated matrix: table-shaped views plus the full JSON record. */
 struct MatrixResult
@@ -609,9 +568,12 @@ struct MatrixResult
 
 /**
  * Run a benchmark × column matrix, seeds expanded per cell, on a
- * SweepRunner with opt.jobs threads. When `with_baseline` is set a Plain column is
- * run first and the sweep's wtd-ari/geo mean overheads are computed
- * against it (over the rows whose cells all succeeded).
+ * SweepRunner with opt.jobs threads. When `with_baseline` is set a
+ * Plain column is run first and the sweep's wtd-ari/geo mean overheads
+ * are computed against it (over the rows whose cells all succeeded).
+ * A non-detailed opt.exec (--fast-functional, --sample-*) replaces
+ * every column's exec mode, the baseline's included; the detailed
+ * default leaves each column's own cfg.exec alone.
  */
 inline MatrixResult
 runMatrix(const std::string &sweep_name,
@@ -645,12 +607,12 @@ runMatrix(const std::string &sweep_name,
     // All columns as run, baseline first.
     std::vector<MatrixColumn> all_cols;
     if (with_baseline)
-        all_cols.push_back(presetColumn("Plain", sim::ExpConfig::Plain,
-                                        core::TokenWidth::Bytes64,
-                                        cols.empty()
-                                            ? false
-                                            : cols.front().inorder));
+        all_cols.push_back(
+            {"Plain", sim::makeSystemConfig(sim::ExpConfig::Plain)});
     all_cols.insert(all_cols.end(), cols.begin(), cols.end());
+    if (!opt.exec.detailed())
+        for (MatrixColumn &col : all_cols)
+            col.cfg.exec = opt.exec;
 
     std::vector<sim::SweepJob> jobs_list;
     jobs_list.reserve(rows_run.size() * all_cols.size() * seeds);
@@ -660,15 +622,7 @@ runMatrix(const std::string &sweep_name,
                 workload::BenchProfile p = row;
                 p.targetKiloInsts = ki;
                 p.seed = row.seed + 0x1000 * s;
-                sim::SweepJob job =
-                    col.custom
-                        ? sim::makeCustomJob(std::move(p),
-                                             col.customConfig, col.name)
-                        : sim::makePresetJob(std::move(p), col.config,
-                                             col.width, col.inorder);
-                job.label = col.name;
-                job.exec = opt.exec;
-                jobs_list.push_back(std::move(job));
+                jobs_list.push_back({std::move(p), col.cfg, col.name});
             }
         }
     }
@@ -694,8 +648,8 @@ runMatrix(const std::string &sweep_name,
             sim::SweepCell cell;
             cell.bench = row.name;
             cell.column = all_cols[c].name;
-            // Seed-average in seed order, exactly like the historical
-            // serial measure() loop, so tables match bit-for-bit.
+            // Seed-average in seed order, so tables match bit-for-bit
+            // at any --jobs value.
             double total_cycles = 0, total_ops = 0;
             for (unsigned s = 0; s < seeds; ++s) {
                 const sim::JobResult &jr = results[idx++];
@@ -772,30 +726,6 @@ runMatrix(const std::string &sweep_name,
         }
     }
     return out;
-}
-
-/**
- * Run one benchmark under one configuration, averaged over generator
- * seeds (the deterministic one-pass timing model has placement-
- * resonance noise that seed-averaging removes; see EXPERIMENTS.md).
- * Serial reference path; the sweep tests compare runMatrix() output
- * against per-job runBench() calls shaped like this.
- */
-inline Cycles
-measure(const workload::BenchProfile &base, sim::ExpConfig config,
-        core::TokenWidth width = core::TokenWidth::Bytes64,
-        bool inorder = false)
-{
-    double total = 0;
-    unsigned seeds = numSeeds();
-    for (unsigned s = 0; s < seeds; ++s) {
-        workload::BenchProfile p = base;
-        p.targetKiloInsts = kiloInsts();
-        p.seed = base.seed + 0x1000 * s;
-        total += static_cast<double>(
-            sim::runBench(p, config, width, inorder).cycles);
-    }
-    return static_cast<Cycles>(total / seeds);
 }
 
 // ---------------------------------------------------------------------

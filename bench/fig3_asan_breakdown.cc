@@ -47,9 +47,8 @@ main(int argc, char **argv)
         << "(in-order core; components enabled cumulatively)\n"
         << "=====================================================\n";
 
-    // Level 0 (plain scheme, in-order core) is the baseline column;
-    // columns are carried as explicit custom configs because the
-    // in-order default baseline is not a preset.
+    // Level 0 (plain scheme, in-order core) is the baseline column,
+    // so runMatrix's out-of-order Plain baseline is not run.
     const char *level_names[] = {"Baseline", "Allocator", "StackSetup",
                                  "AccessValid", "APIIntercept"};
     std::vector<bench::MatrixColumn> columns;
@@ -57,7 +56,7 @@ main(int argc, char **argv)
         sim::SystemConfig cfg;
         cfg.scheme = schemeUpTo(level);
         cfg.useInOrderCpu = true; // Fig. 3 uses an in-order core
-        columns.push_back(bench::customColumn(level_names[level], cfg));
+        columns.push_back({level_names[level], cfg});
     }
     // The full stack again with redundant-check elision: how much of
     // the access-validation component static analysis can trim.
@@ -66,7 +65,7 @@ main(int argc, char **argv)
         cfg.scheme = schemeUpTo(4);
         cfg.scheme.elideRedundantChecks = true;
         cfg.useInOrderCpu = true;
-        columns.push_back(bench::customColumn("ChkElision", cfg));
+        columns.push_back({"ChkElision", cfg});
     }
     // ... and with the loop optimizer on top: invariant checks hoisted
     // to preheaders and adjacent windows coalesced.
@@ -77,7 +76,7 @@ main(int argc, char **argv)
         cfg.scheme.hoistLoopChecks = true;
         cfg.scheme.coalesceChecks = true;
         cfg.useInOrderCpu = true;
-        columns.push_back(bench::customColumn("ChkHoist", cfg));
+        columns.push_back({"ChkHoist", cfg});
     }
 
     auto mat = bench::runMatrix("asan_breakdown",

@@ -32,7 +32,8 @@ detailXalancbmk()
                         ExpConfig::RestDebugFull}) {
         auto p = workload::profileByName("xalancbmk");
         p.targetKiloInsts = bench::kiloInsts();
-        sim::Measurement m = sim::runBench(p, config);
+        sim::Measurement m = sim::runBench(
+            p, sim::makeSystemConfig(config), sim::expConfigName(config));
         double kinst = double(m.ops) / 1000.0;
         std::cout << sim::expConfigName(config) << ":\n"
                   << "  rob_store_blocked_cycles = "
@@ -72,15 +73,15 @@ main(int argc, char **argv)
     asan_opt.scheme.coalesceChecks = true;
 
     const std::vector<bench::MatrixColumn> columns = {
-        bench::presetColumn("ASan", ExpConfig::Asan),
-        bench::customColumn("ASanElide", asan_elide),
-        bench::customColumn("ASanOpt", asan_opt),
-        bench::presetColumn("DebugFull", ExpConfig::RestDebugFull),
-        bench::presetColumn("SecureFull", ExpConfig::RestSecureFull),
-        bench::presetColumn("PerfectHWFull", ExpConfig::PerfectHwFull),
-        bench::presetColumn("DebugHeap", ExpConfig::RestDebugHeap),
-        bench::presetColumn("SecureHeap", ExpConfig::RestSecureHeap),
-        bench::presetColumn("PerfectHWHeap", ExpConfig::PerfectHwHeap),
+        {"ASan", sim::makeSystemConfig(ExpConfig::Asan)},
+        {"ASanElide", asan_elide},
+        {"ASanOpt", asan_opt},
+        {"DebugFull", sim::makeSystemConfig(ExpConfig::RestDebugFull)},
+        {"SecureFull", sim::makeSystemConfig(ExpConfig::RestSecureFull)},
+        {"PerfectHWFull", sim::makeSystemConfig(ExpConfig::PerfectHwFull)},
+        {"DebugHeap", sim::makeSystemConfig(ExpConfig::RestDebugHeap)},
+        {"SecureHeap", sim::makeSystemConfig(ExpConfig::RestSecureHeap)},
+        {"PerfectHWHeap", sim::makeSystemConfig(ExpConfig::PerfectHwHeap)},
     };
 
     auto mat = bench::runMatrix("overheads", workload::specSuite(),

@@ -25,18 +25,18 @@ main(int argc, char **argv)
               << "==================================================\n";
 
     const std::vector<bench::MatrixColumn> columns = {
-        bench::presetColumn("16 Full", ExpConfig::RestSecureFull,
-                            core::TokenWidth::Bytes16),
-        bench::presetColumn("32 Full", ExpConfig::RestSecureFull,
-                            core::TokenWidth::Bytes32),
-        bench::presetColumn("64 Full", ExpConfig::RestSecureFull,
-                            core::TokenWidth::Bytes64),
-        bench::presetColumn("16 Heap", ExpConfig::RestSecureHeap,
-                            core::TokenWidth::Bytes16),
-        bench::presetColumn("32 Heap", ExpConfig::RestSecureHeap,
-                            core::TokenWidth::Bytes32),
-        bench::presetColumn("64 Heap", ExpConfig::RestSecureHeap,
-                            core::TokenWidth::Bytes64),
+        {"16 Full", sim::makeSystemConfig(ExpConfig::RestSecureFull,
+                                          core::TokenWidth::Bytes16)},
+        {"32 Full", sim::makeSystemConfig(ExpConfig::RestSecureFull,
+                                          core::TokenWidth::Bytes32)},
+        {"64 Full", sim::makeSystemConfig(ExpConfig::RestSecureFull,
+                                          core::TokenWidth::Bytes64)},
+        {"16 Heap", sim::makeSystemConfig(ExpConfig::RestSecureHeap,
+                                          core::TokenWidth::Bytes16)},
+        {"32 Heap", sim::makeSystemConfig(ExpConfig::RestSecureHeap,
+                                          core::TokenWidth::Bytes32)},
+        {"64 Heap", sim::makeSystemConfig(ExpConfig::RestSecureHeap,
+                                          core::TokenWidth::Bytes64)},
     };
 
     auto mat = bench::runMatrix("token_widths", workload::specSuite(),

@@ -192,7 +192,7 @@ main(int argc, char **argv)
     const workload::ServerMixConfig shape = mixConfig(opt.cores);
 
     std::cout << "====================================================\n"
-              << "Multicore scaling: " << opt.workload << " mix, "
+              << "Multicore scaling: server mix, "
               << shape.requestsPerCore << " requests/core, Zipf("
               << shape.hotObjects << ", " << shape.zipfTheta << ")\n"
               << "MESI bus + shared L2/DRAM; detection per private L1\n"

@@ -160,7 +160,7 @@ overheadRun(const runtime::SchemeConfig &scheme)
     sim::SystemConfig cfg;
     cfg.scheme = scheme;
     cfg.tokenSeed = matrixSeed;
-    return sim::runCustom(overheadProfile(), cfg, scheme.name());
+    return sim::runBench(overheadProfile(), cfg, scheme.name());
 }
 
 void
@@ -363,11 +363,11 @@ main(int argc, char **argv)
     }
     std::cout << std::string(75, '-') << "\n"
               << "overhead probed on " << overheadProfile().name << ", "
-              << overheadKiloInsts << " kiloinsts, 1 seed; negative "
-              << "values mean the scheme's\nallocator packs the heap "
-              << "tighter than libc's size classes (16B granule\n"
-              << "rounding vs power-of-two), outweighing its check "
-              << "cost on this small probe\n"
+              << overheadKiloInsts << " kiloinsts, 1 seed; mte's "
+              << "negative value\ncomes from its tag model: each STG is "
+              << "timed as a granule-wide data store\nthat write-allocates "
+              << "the payload line before first touch (a prefetch),\n"
+              << "and its tag checks are not timed\n"
               << std::string(75, '-') << "\n";
 
     const sim::RestRowText rest_text = sim::formatRestRow(

@@ -98,7 +98,7 @@ main(int argc, char **argv)
         sim::makeSystemConfig(sim::ExpConfig::RestSecureFull);
     stats_cfg.trace.statsEvery = tcfg.statsEvery;
     const std::vector<bench::MatrixColumn> columns = {
-        bench::customColumn("SecureFullStats", stats_cfg),
+        {"SecureFullStats", stats_cfg},
     };
     const std::vector<workload::BenchProfile> rows = {
         workload::profileByName("bzip2"),

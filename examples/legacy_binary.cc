@@ -54,9 +54,11 @@ main()
     // zero recompilation:
     auto profile = workload::profileByName("hmmer");
     profile.targetKiloInsts = 300;
-    auto plain = sim::runBench(profile, sim::ExpConfig::Plain);
-    auto rest_run = sim::runBench(profile,
-                                  sim::ExpConfig::RestSecureHeap);
+    auto plain = sim::runBench(
+        profile, sim::makeSystemConfig(sim::ExpConfig::Plain), "plain");
+    auto rest_run = sim::runBench(
+        profile, sim::makeSystemConfig(sim::ExpConfig::RestSecureHeap),
+        "REST heap");
     std::cout << "hmmer-like workload, heap-only protection:\n"
               << "  plain cycles: " << plain.cycles << "\n"
               << "  REST  cycles: " << rest_run.cycles << "  ("

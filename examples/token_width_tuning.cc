@@ -41,12 +41,15 @@ main()
     std::cout << "\nToken width vs. performance (gobmk-like)\n";
     auto profile = workload::profileByName("gobmk");
     profile.targetKiloInsts = 300;
-    auto plain = sim::runBench(profile, sim::ExpConfig::Plain);
+    auto plain = sim::runBench(
+        profile, sim::makeSystemConfig(sim::ExpConfig::Plain), "plain");
     for (auto width : {core::TokenWidth::Bytes16,
                        core::TokenWidth::Bytes32,
                        core::TokenWidth::Bytes64}) {
-        auto m = sim::runBench(profile, sim::ExpConfig::RestSecureFull,
-                               width);
+        auto m = sim::runBench(
+            profile,
+            sim::makeSystemConfig(sim::ExpConfig::RestSecureFull, width),
+            "REST secure");
         std::cout << "  " << core::tokenBytes(width) << "B tokens: "
                   << sim::overheadPct(plain.cycles, m.cycles)
                   << "% overhead, " << m.detail.armsExecuted

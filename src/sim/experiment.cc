@@ -25,11 +25,10 @@ expConfigName(ExpConfig config)
 }
 
 SystemConfig
-makeSystemConfig(ExpConfig config, core::TokenWidth width, bool inorder)
+makeSystemConfig(ExpConfig config, core::TokenWidth width)
 {
     SystemConfig cfg;
     cfg.tokenWidth = width;
-    cfg.useInOrderCpu = inorder;
     using runtime::SchemeConfig;
 
     switch (config) {
@@ -65,13 +64,9 @@ makeSystemConfig(ExpConfig config, core::TokenWidth width, bool inorder)
     return cfg;
 }
 
-namespace
-{
-
-/** Shared tail of runBench()/runCustom(): run, validate, snapshot. */
 Measurement
-runSystem(const workload::BenchProfile &profile, const SystemConfig &cfg,
-          const std::string &label, ExpConfig config)
+runBench(const workload::BenchProfile &profile, const SystemConfig &cfg,
+         const std::string &label)
 {
     System system(workload::generate(profile), cfg);
     SystemResult result = system.run();
@@ -84,16 +79,12 @@ runSystem(const workload::BenchProfile &profile, const SystemConfig &cfg,
     Measurement m;
     m.bench = profile.name;
     m.label = label;
-    m.config = config;
     m.seed = profile.seed;
     m.cycles = result.cycles();
     m.ops = result.run.committedOps;
     m.execMode = cfg.exec.modeName();
-    if (result.sampled) {
+    if (result.sampled)
         m.samplingErrorPct = result.sampling.cpiStdErrPct;
-        m.sampleWindows = result.sampling.windows;
-        m.fastForwardedOps = result.sampling.fastForwardedOps;
-    }
     m.detail = result;
     auto snap = [&m](const std::string &name, std::uint64_t v) {
         m.scalars.emplace(name, v);
@@ -117,25 +108,6 @@ runSystem(const workload::BenchProfile &profile, const SystemConfig &cfg,
     if (cfg.trace.statsEvery != 0)
         m.statSeries = system.statSnapshots();
     return m;
-}
-
-} // namespace
-
-Measurement
-runBench(const workload::BenchProfile &profile, ExpConfig config,
-         core::TokenWidth width, bool inorder,
-         const ExecutionConfig &exec)
-{
-    SystemConfig cfg = makeSystemConfig(config, width, inorder);
-    cfg.exec = exec;
-    return runSystem(profile, cfg, expConfigName(config), config);
-}
-
-Measurement
-runCustom(const workload::BenchProfile &profile, const SystemConfig &cfg,
-          const std::string &label)
-{
-    return runSystem(profile, cfg, label, ExpConfig::Plain);
 }
 
 double

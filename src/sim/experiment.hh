@@ -38,20 +38,17 @@ const char *expConfigName(ExpConfig config);
  * Build the SystemConfig for a named experiment configuration.
  * @param config which preset.
  * @param width token width (Figure 8 sweeps this; 64 B elsewhere).
- * @param inorder use the in-order core (Figure 3 setup).
  */
 SystemConfig makeSystemConfig(ExpConfig config,
                               core::TokenWidth width =
-                                  core::TokenWidth::Bytes64,
-                              bool inorder = false);
+                                  core::TokenWidth::Bytes64);
 
 /** One benchmark × configuration measurement. */
 struct Measurement
 {
     std::string bench;
-    /** Column label; expConfigName(config) for preset runs. */
+    /** Column label the run was given. */
     std::string label;
-    ExpConfig config = ExpConfig::Plain;
     std::uint64_t seed = 0;
     Cycles cycles = 0;
     std::uint64_t ops = 0;
@@ -59,11 +56,8 @@ struct Measurement
      *  "fast-functional" or "sampled" (ExecutionConfig::modeName()). */
     std::string execMode = "detailed";
     /** Sampled runs: standard error of per-window CPI as % of the
-     *  mean, and how the run split between detailed and functional
-     *  execution. Zero for detailed and fast-functional runs. */
+     *  mean. Zero for detailed and fast-functional runs. */
     double samplingErrorPct = 0.0;
-    std::uint64_t sampleWindows = 0;
-    std::uint64_t fastForwardedOps = 0;
     /** Component counters ("o3cpu.*", "l1d.*") snapshotted before the
      *  System is torn down; feeds the JSON results layer. */
     std::map<std::string, std::uint64_t> scalars;
@@ -74,29 +68,14 @@ struct Measurement
 };
 
 /**
- * Run one benchmark under one configuration.
+ * Run one benchmark under one configuration: a preset from
+ * makeSystemConfig() or any edit of one (Figure 3's cumulative
+ * component stacks, the ablations). The execution mode is cfg.exec.
  * @param profile workload profile (generate() is called internally).
- * @param config experiment preset.
- * @param width token width.
- * @param inorder use the in-order core.
- * @param exec execution mode (detailed / fast-functional / sampled);
- *        the default runs the historical all-detailed path.
- */
-Measurement runBench(const workload::BenchProfile &profile,
-                     ExpConfig config,
-                     core::TokenWidth width = core::TokenWidth::Bytes64,
-                     bool inorder = false,
-                     const ExecutionConfig &exec = {});
-
-/**
- * Run one benchmark under an explicit SystemConfig (ablations and
- * Figure 3's cumulative component stacks need configurations that are
- * not expressible as a preset).
  * @param label column label recorded in the Measurement.
  */
-Measurement runCustom(const workload::BenchProfile &profile,
-                      const SystemConfig &cfg,
-                      const std::string &label);
+Measurement runBench(const workload::BenchProfile &profile,
+                     const SystemConfig &cfg, const std::string &label);
 
 /** Per-benchmark overhead in percent relative to a plain run. */
 double overheadPct(Cycles plain_cycles, Cycles scheme_cycles);

@@ -1,7 +1,6 @@
 #include "sim/sweep.hh"
 
 #include <algorithm>
-#include <utility>
 
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -18,22 +17,7 @@ runJob(const SweepJob &job, std::size_t index)
 {
     REST_DPRINTF(trace::Flag::Sweep, index, "sweep",
                  "job ", index, " start bench=", job.profile.name);
-    Measurement m;
-    if (job.useCustomConfig) {
-        SystemConfig cfg = job.customConfig;
-        // A non-default job-level mode wins; the default leaves
-        // whatever the custom config already carries untouched.
-        if (!job.exec.detailed())
-            cfg.exec = job.exec;
-        m = runCustom(job.profile, cfg,
-                      job.label.empty() ? std::string("custom")
-                                        : job.label);
-    } else {
-        m = runBench(job.profile, job.config, job.width, job.inorder,
-                     job.exec);
-        if (!job.label.empty())
-            m.label = job.label;
-    }
+    Measurement m = runBench(job.profile, job.cfg, job.label);
     REST_DPRINTF(trace::Flag::Sweep, index, "sweep",
                  "job ", index, " done bench=", m.bench, " label=",
                  m.label, " cycles=", m.cycles);
@@ -41,30 +25,6 @@ runJob(const SweepJob &job, std::size_t index)
 }
 
 } // namespace
-
-SweepJob
-makePresetJob(workload::BenchProfile profile, ExpConfig config,
-              core::TokenWidth width, bool inorder)
-{
-    SweepJob job;
-    job.profile = std::move(profile);
-    job.config = config;
-    job.width = width;
-    job.inorder = inorder;
-    return job;
-}
-
-SweepJob
-makeCustomJob(workload::BenchProfile profile, const SystemConfig &cfg,
-              std::string label)
-{
-    SweepJob job;
-    job.profile = std::move(profile);
-    job.useCustomConfig = true;
-    job.customConfig = cfg;
-    job.label = std::move(label);
-    return job;
-}
 
 SweepRunner::SweepRunner(unsigned num_threads)
     : num_threads_(std::max(1u, num_threads))

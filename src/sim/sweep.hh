@@ -3,11 +3,11 @@
  * SweepRunner: a parallel experiment-sweep engine.
  *
  * A sweep is a list of SweepJobs — each one a pure function of
- * (profile, configuration, token width, seed). The runner executes the
- * jobs on a thread pool (util::ThreadPool), one sim::System per job,
- * and returns per-job JobResults *in submission order*, so successful
- * measurements are bit-identical to running the same jobs serially
- * through runBench()/runCustom() regardless of thread count or
+ * (profile, SystemConfig), the seed being part of the profile. The
+ * runner executes the jobs on a thread pool (util::ThreadPool), one
+ * sim::System per job, and returns per-job JobResults *in submission
+ * order*, so successful measurements are bit-identical to running the
+ * same jobs serially through runBench() regardless of thread count or
  * scheduling (tests/sim/sweep_test.cc proves the invariance).
  *
  * A job that throws — including a rest_fatal from a workload
@@ -32,34 +32,10 @@ namespace rest::sim
 struct SweepJob
 {
     workload::BenchProfile profile;
-
-    // Preset path (the common case).
-    ExpConfig config = ExpConfig::Plain;
-    core::TokenWidth width = core::TokenWidth::Bytes64;
-    bool inorder = false;
-
-    /** When set, run customConfig via runCustom() instead of the
-     *  preset — Figure 3 levels and the ablations need this. */
-    bool useCustomConfig = false;
-    SystemConfig customConfig;
-
-    /** Execution mode for this cell. Applied to preset jobs directly;
-     *  for custom jobs a non-default value overrides
-     *  customConfig.exec (the default leaves customConfig alone). */
-    ExecutionConfig exec;
-
-    /** Column label recorded in the Measurement; defaults to
-     *  expConfigName(config) when empty. */
+    SystemConfig cfg;
+    /** Column label recorded in the Measurement. */
     std::string label;
 };
-
-/** Convenience builders. */
-SweepJob makePresetJob(workload::BenchProfile profile, ExpConfig config,
-                       core::TokenWidth width =
-                           core::TokenWidth::Bytes64,
-                       bool inorder = false);
-SweepJob makeCustomJob(workload::BenchProfile profile,
-                       const SystemConfig &cfg, std::string label);
 
 /** The per-job outcome of a sweep. */
 struct JobResult

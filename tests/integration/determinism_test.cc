@@ -118,8 +118,10 @@ jsonFor(ExpConfig config, const sim::ExecutionConfig &exec)
 {
     auto p = workload::profileByName("gobmk");
     p.targetKiloInsts = 30;
-    sim::Measurement m = sim::runBench(
-        p, config, core::TokenWidth::Bytes64, false, exec);
+    sim::SystemConfig cfg = sim::makeSystemConfig(config);
+    cfg.exec = exec;
+    sim::Measurement m =
+        sim::runBench(p, cfg, sim::expConfigName(config));
 
     sim::SweepCell cell;
     cell.bench = m.bench;

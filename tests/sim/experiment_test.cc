@@ -139,7 +139,7 @@ TEST(Experiment, RunBenchProducesMeasurement)
 {
     auto p = workload::profileByName("sjeng");
     p.targetKiloInsts = 20;
-    Measurement m = runBench(p, ExpConfig::Plain);
+    Measurement m = runBench(p, makeSystemConfig(ExpConfig::Plain), "plain");
     EXPECT_EQ(m.bench, "sjeng");
     EXPECT_GT(m.cycles, 0u);
     EXPECT_GT(m.ops, 10000u);
@@ -151,9 +151,10 @@ TEST(Experiment, RestSecureCheaperThanAsan)
     // than ASan on the same workload.
     auto p = workload::profileByName("hmmer");
     p.targetKiloInsts = 50;
-    auto plain = runBench(p, ExpConfig::Plain);
-    auto secure = runBench(p, ExpConfig::RestSecureFull);
-    auto asan = runBench(p, ExpConfig::Asan);
+    auto plain = runBench(p, makeSystemConfig(ExpConfig::Plain), "plain");
+    auto secure =
+        runBench(p, makeSystemConfig(ExpConfig::RestSecureFull), "secure");
+    auto asan = runBench(p, makeSystemConfig(ExpConfig::Asan), "asan");
     double sec_ovh = overheadPct(plain.cycles, secure.cycles);
     double asan_ovh = overheadPct(plain.cycles, asan.cycles);
     EXPECT_LT(sec_ovh, asan_ovh / 3);
@@ -163,8 +164,10 @@ TEST(Experiment, DebugCostsMoreThanSecure)
 {
     auto p = workload::profileByName("soplex");
     p.targetKiloInsts = 50;
-    auto secure = runBench(p, ExpConfig::RestSecureFull);
-    auto debug = runBench(p, ExpConfig::RestDebugFull);
+    auto secure =
+        runBench(p, makeSystemConfig(ExpConfig::RestSecureFull), "secure");
+    auto debug =
+        runBench(p, makeSystemConfig(ExpConfig::RestDebugFull), "debug");
     EXPECT_GT(debug.cycles, secure.cycles);
 }
 
@@ -174,8 +177,10 @@ TEST(Experiment, PerfectHwTracksSecure)
     // nearly free; PerfectHW and secure differ by well under 5%.
     auto p = workload::profileByName("gobmk");
     p.targetKiloInsts = 50;
-    auto secure = runBench(p, ExpConfig::RestSecureFull);
-    auto perfect = runBench(p, ExpConfig::PerfectHwFull);
+    auto secure =
+        runBench(p, makeSystemConfig(ExpConfig::RestSecureFull), "secure");
+    auto perfect =
+        runBench(p, makeSystemConfig(ExpConfig::PerfectHwFull), "perfect");
     double delta = std::abs(double(secure.cycles) -
                             double(perfect.cycles)) /
         double(perfect.cycles);

@@ -176,8 +176,9 @@ TEST(Results, RealSweepSerialisesAndParses)
         auto p = workload::profileByName("sjeng");
         p.targetKiloInsts = 10;
         auto rs = SweepRunner(2).run(
-            {makePresetJob(p, ExpConfig::Plain),
-             makePresetJob(p, ExpConfig::RestSecureFull)});
+            {{p, makeSystemConfig(ExpConfig::Plain), "Plain"},
+             {p, makeSystemConfig(ExpConfig::RestSecureFull),
+              "Secure Full"}});
 
         ResultsFile f;
         f.figure = "unit";

@@ -2,7 +2,7 @@
  * @file
  * The parallel ≡ serial contract of sim::SweepRunner: for any thread
  * count, the Measurement vector is cycle-for-cycle identical to
- * running the same jobs serially through runBench()/runCustom(), and
+ * running the same jobs serially through runBench(), and
  * repeated runs with the same seeds reproduce byte-identical results.
  * A job whose run hits rest_fatal fails alone; the rest of the sweep
  * is unaffected, and the harnesses' matrix driver turns it into one
@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <regex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -38,21 +39,38 @@ contradictoryConfig()
     return cfg;
 }
 
-/** 3 benchmarks × 3 configs × 2 seeds, small enough for a unit test. */
+/** The bench helpers read REST_BENCH_KILOINSTS and REST_BENCH_SEEDS
+ *  once per process, so every RunMatrix case sets the same values
+ *  before its first call, in whatever order the cases run. */
+void
+setMatrixEnv()
+{
+    setenv("REST_BENCH_KILOINSTS", "10", 1);
+    setenv("REST_BENCH_SEEDS", "2", 1);
+}
+
+/** 3 benchmarks × 4 configs × 2 seeds, small enough for a unit test:
+ *  three presets plus an edited one (LSQ-serialised Secure Full). */
 std::vector<SweepJob>
 testMatrix()
 {
     const char *benches[] = {"sjeng", "hmmer", "xalancbmk"};
-    const ExpConfig configs[] = {ExpConfig::Plain, ExpConfig::Asan,
-                                 ExpConfig::RestSecureFull};
+    SystemConfig serialized = makeSystemConfig(ExpConfig::RestSecureFull);
+    serialized.cpuConfig.serializeRestOps = true;
+    const std::pair<std::string, SystemConfig> configs[] = {
+        {"Plain", makeSystemConfig(ExpConfig::Plain)},
+        {"ASan", makeSystemConfig(ExpConfig::Asan)},
+        {"Secure Full", makeSystemConfig(ExpConfig::RestSecureFull)},
+        {"serialized", serialized},
+    };
     std::vector<SweepJob> jobs;
     for (const char *bench : benches) {
-        for (ExpConfig config : configs) {
+        for (const auto &[label, cfg] : configs) {
             for (unsigned s = 0; s < 2; ++s) {
                 auto p = workload::profileByName(bench);
                 p.targetKiloInsts = 20;
                 p.seed = p.seed + 0x1000 * s;
-                jobs.push_back(makePresetJob(p, config));
+                jobs.push_back({p, cfg, label});
             }
         }
     }
@@ -64,7 +82,6 @@ expectIdentical(const Measurement &a, const Measurement &b)
 {
     EXPECT_EQ(a.bench, b.bench);
     EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.config, b.config);
     EXPECT_EQ(a.seed, b.seed);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.ops, b.ops);
@@ -83,8 +100,7 @@ TEST(SweepRunner, MatchesSerialRunBenchAtEveryThreadCount)
     // The serial reference: direct runBench calls, in order.
     std::vector<Measurement> reference;
     for (const auto &job : jobs)
-        reference.push_back(runBench(job.profile, job.config,
-                                     job.width, job.inorder));
+        reference.push_back(runBench(job.profile, job.cfg, job.label));
 
     for (unsigned threads : {1u, 2u, 8u}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -112,26 +128,6 @@ TEST(SweepRunner, RepeatedRunsWithSameSeedsAreIdentical)
     }
 }
 
-TEST(SweepRunner, CustomConfigJobsMatchRunCustom)
-{
-    auto p = workload::profileByName("gcc");
-    p.targetKiloInsts = 20;
-    auto cfg = makeSystemConfig(ExpConfig::RestSecureFull);
-    cfg.cpuConfig.serializeRestOps = true;
-
-    std::vector<SweepJob> jobs = {
-        makeCustomJob(p, cfg, "serialized"),
-        makePresetJob(p, ExpConfig::Plain),
-    };
-    auto parallel = SweepRunner(2).run(jobs);
-    ASSERT_EQ(parallel.size(), 2u);
-
-    Measurement ref = runCustom(p, cfg, "serialized");
-    expectIdentical(parallel[0].measurement, ref);
-    EXPECT_EQ(parallel[0].measurement.label, "serialized");
-    EXPECT_EQ(parallel[1].measurement.label, "Plain");
-}
-
 TEST(SweepRunner, SeedChangesResults)
 {
     // Guard against the sweep accidentally ignoring per-job seeds.
@@ -139,9 +135,9 @@ TEST(SweepRunner, SeedChangesResults)
     p.targetKiloInsts = 20;
     auto p2 = p;
     p2.seed = p.seed + 0x1000;
-    auto out = SweepRunner(2).run({makePresetJob(p, ExpConfig::Plain),
-                                   makePresetJob(p2,
-                                                 ExpConfig::Plain)});
+    const SystemConfig plain = makeSystemConfig(ExpConfig::Plain);
+    auto out = SweepRunner(2).run({{p, plain, "Plain"},
+                                   {p2, plain, "Plain"}});
     EXPECT_EQ(out[0].measurement.seed, p.seed);
     EXPECT_EQ(out[1].measurement.seed, p2.seed);
     EXPECT_NE(out[0].measurement.cycles, out[1].measurement.cycles);
@@ -159,8 +155,8 @@ TEST(SweepRunner, FatalJobFailsOnlyItsOwnCell)
 
     const std::size_t bad = 2;
     jobs.insert(jobs.begin() + bad,
-                makeCustomJob(jobs[bad].profile, contradictoryConfig(),
-                              "contradictory"));
+                {jobs[bad].profile, contradictoryConfig(),
+                 "contradictory"});
 
     for (unsigned threads : {1u, 4u}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -188,8 +184,8 @@ TEST(SweepRunner, FatalJobFailsOnlyItsOwnCell)
             EXPECT_TRUE(out[i].ok);
             EXPECT_TRUE(out[i].error.empty());
             expectIdentical(out[i].measurement,
-                            runBench(jobs[i].profile, jobs[i].config,
-                                     jobs[i].width, jobs[i].inorder));
+                            runBench(jobs[i].profile, jobs[i].cfg,
+                                     jobs[i].label));
         }
         EXPECT_NE(log.find("sweep job 2 (" + jobs[bad].profile.name +
                            ") failed"),
@@ -200,17 +196,15 @@ TEST(SweepRunner, FatalJobFailsOnlyItsOwnCell)
 
 TEST(RunMatrix, FailedJobBecomesAnErrorCell)
 {
-    // Read once by the bench helpers; set before their first call.
-    setenv("REST_BENCH_KILOINSTS", "10", 1);
-    setenv("REST_BENCH_SEEDS", "2", 1);
+    setMatrixEnv();
     bench::Options opt;
     opt.jobs = 2;
 
     ::testing::internal::CaptureStderr();
     const bench::MatrixResult mat = bench::runMatrix(
         "unit", {workload::profileByName("sjeng")},
-        {bench::customColumn("Bad", contradictoryConfig()),
-         bench::presetColumn("ASan", ExpConfig::Asan)},
+        {{"Bad", contradictoryConfig()},
+         {"ASan", makeSystemConfig(ExpConfig::Asan)}},
         opt);
     ::testing::internal::GetCapturedStderr();
 
@@ -245,12 +239,39 @@ TEST(RunMatrix, FailedJobBecomesAnErrorCell)
     }
 }
 
+TEST(RunMatrix, FastFunctionalReachesEveryColumn)
+{
+    // A non-detailed harness mode runs every column under it, the
+    // baseline and edited presets included.
+    setMatrixEnv();
+    bench::Options opt;
+    opt.jobs = 2;
+    opt.exec.fastFunctional = true;
+
+    SystemConfig asan_opt = makeSystemConfig(ExpConfig::Asan);
+    asan_opt.scheme.elideRedundantChecks = true;
+    asan_opt.scheme.hoistLoopChecks = true;
+    asan_opt.scheme.coalesceChecks = true;
+    const bench::MatrixResult mat = bench::runMatrix(
+        "unit", {workload::profileByName("sjeng")},
+        {{"ASan", makeSystemConfig(ExpConfig::Asan)},
+         {"ASanOpt", asan_opt}},
+        opt);
+
+    ASSERT_EQ(mat.sweep.cells.size(), 3u); // Plain, ASan, ASanOpt
+    for (const SweepCell &cell : mat.sweep.cells) {
+        SCOPED_TRACE(cell.column);
+        EXPECT_TRUE(cell.ok);
+        EXPECT_EQ(cell.execMode, "fast-functional");
+    }
+}
+
 TEST(SweepRunner, MeasurementCarriesScalars)
 {
     auto p = workload::profileByName("hmmer");
     p.targetKiloInsts = 20;
     auto out = SweepRunner(1).run(
-        {makePresetJob(p, ExpConfig::RestSecureFull)});
+        {{p, makeSystemConfig(ExpConfig::RestSecureFull), "Secure Full"}});
     ASSERT_EQ(out.size(), 1u);
     const auto &scalars = out[0].measurement.scalars;
     EXPECT_FALSE(scalars.empty());

@@ -125,9 +125,8 @@ const Pin pins[] = {
 TEST(SystemPin, EveryModelAndSchemeOnTwoProfiles)
 {
     for (const Pin &pin : pins) {
-        SystemConfig cfg = makeSystemConfig(
-            pin.config, core::TokenWidth::Bytes64,
-            pin.model == Model::InOrder);
+        SystemConfig cfg = makeSystemConfig(pin.config);
+        cfg.useInOrderCpu = pin.model == Model::InOrder;
         cfg.exec.fastFunctional = pin.model == Model::Fast;
         System system(bench(pin.bench), cfg);
         const SystemResult r = system.run();

@@ -79,9 +79,8 @@ TEST(System, TokenWidthConfigurable)
 
 TEST(System, InOrderCpuOption)
 {
-    SystemConfig cfg = makeSystemConfig(ExpConfig::Plain,
-                                        core::TokenWidth::Bytes64,
-                                        /*inorder=*/true);
+    SystemConfig cfg = makeSystemConfig(ExpConfig::Plain);
+    cfg.useInOrderCpu = true;
     System s(tinyBench(), cfg);
     SystemResult r = s.run();
     EXPECT_FALSE(r.faulted());

@@ -216,11 +216,12 @@ TEST(TraceSystem, StatSeriesFlowsIntoMeasurement)
 
     SystemConfig cfg = makeSystemConfig(ExpConfig::RestSecureFull);
     cfg.trace.statsEvery = 2000;
-    Measurement m = runCustom(p, cfg, "traced");
+    Measurement m = runBench(p, cfg, "traced");
     EXPECT_FALSE(m.statSeries.empty());
 
     // Untraced runs carry no series, so default JSON stays unchanged.
-    Measurement plain = runBench(p, ExpConfig::RestSecureFull);
+    Measurement plain = runBench(
+        p, makeSystemConfig(ExpConfig::RestSecureFull), "Secure Full");
     EXPECT_TRUE(plain.statSeries.empty());
     EXPECT_EQ(plain.cycles, m.cycles); // tracing still observer-only
 }
@@ -268,7 +269,8 @@ TEST(TraceSystem, ResultsJsonByteIdenticalAcrossJobCounts)
                                  ExpConfig::RestSecureFull}) {
             auto p = workload::profileByName(bench);
             p.targetKiloInsts = 20;
-            jobs.push_back(makePresetJob(p, config));
+            jobs.push_back({p, makeSystemConfig(config),
+                            expConfigName(config)});
         }
     }
 
@@ -288,13 +290,14 @@ TEST(TraceSystem, StatSeriesSerialisedOnlyWhenPresent)
     auto p = workload::profileByName("hmmer");
     p.targetKiloInsts = 20;
 
-    Measurement plain = runBench(p, ExpConfig::Plain);
+    Measurement plain =
+        runBench(p, makeSystemConfig(ExpConfig::Plain), "Plain");
     std::string without = resultsJson({plain}, 1);
     EXPECT_EQ(without.find("stat_series"), std::string::npos);
 
     SystemConfig cfg = makeSystemConfig(ExpConfig::Plain);
     cfg.trace.statsEvery = 2000;
-    Measurement traced = runCustom(p, cfg, "Plain");
+    Measurement traced = runBench(p, cfg, "Plain");
     std::string with = resultsJson({traced}, 1);
     ASSERT_NE(with.find("stat_series"), std::string::npos);
 
