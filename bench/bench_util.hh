@@ -24,12 +24,6 @@
  *                         itself when it is not a power of two)
  *   --fast-functional     retire ops functionally (no pipeline model);
  *                         detection is identical, cycles are nominal
- *   --sample-warmup N     detailed warmup ops per sampling period
- *                         (default 2000; needs --sample-interval)
- *   --sample-window N     detailed measured ops per period (default
- *                         10000)
- *   --sample-interval N   total ops per period; the rest fast-forwards
- *                         functionally (0 = sampling off, the default)
  *   --debug-flags CSV     enable debug flags (e.g. O3Pipe,Cache; the
  *                         REST_DEBUG_FLAGS env var is the fallback)
  *   --debug-start T       first tick debug flags are live
@@ -42,9 +36,7 @@
  *   --dump-program B[:S]  print benchmark B's generated program after
  *                         instrumentation for scheme S (none, plain,
  *                         rest, or asan with optional +elide/+hoist/
- *                         +coalesce suffixes; "asan-elide" is the
- *                         legacy spelling of asan+elide; default
- *                         asan) and exit
+ *                         +coalesce suffixes; default asan) and exit
  *
  * runMatrix() is the shared sweep driver: it expands a benchmark ×
  * column matrix (× seeds) into sim::SweepJobs, runs them on a
@@ -163,8 +155,8 @@ struct Options
      *  (multicore_scaling runs power-of-two counts up to this, plus
      *  N itself when it is not a power of two). */
     unsigned cores = 8;
-    /** Execution mode (--fast-functional / --sample-*); the default
-     *  is all-detailed and leaves every sweep byte-identical. */
+    /** Execution mode (--fast-functional); the default is
+     *  all-detailed and leaves every sweep byte-identical. */
     sim::ExecutionConfig exec;
 
     // Tracing (all off by default; see util/trace.hh).
@@ -198,8 +190,6 @@ usage(const std::string &figure, int status)
         << "usage: " << figure << " [--jobs N] [--json PATH] "
         << "[--no-json] [--detail]\n"
         << "         [--bench NAME] [--fast-functional]\n"
-        << "         [--sample-warmup N] [--sample-window N] "
-        << "[--sample-interval N]\n"
         << "         [--debug-flags CSV] [--debug-start T] "
         << "[--debug-end T]\n"
         << "         [--trace-out PATH] [--pipeview-out PATH] "
@@ -217,13 +207,6 @@ usage(const std::string &figure, int status)
         << "                     nominal cycles (CPI 1); for detection "
         << "work and CI,\n"
         << "                     never for quotable overheads\n"
-        << "  --sample-warmup N  detailed warmup ops per sampling "
-        << "period (default 2000)\n"
-        << "  --sample-window N  detailed measured ops per period "
-        << "(default 10000)\n"
-        << "  --sample-interval N  total ops per period, remainder "
-        << "fast-forwards\n"
-        << "                     functionally (0 = sampling off)\n"
         << "  --debug-flags CSV  enable debug flags (O3Pipe, Cache, "
         << "TokenDetect,\n"
         << "                     Alloc, Shadow, Sweep, or All)\n"
@@ -286,8 +269,7 @@ dumpProgram(const std::string &figure, const std::string &spec)
     }
 
     // "none" dumps the raw generator output; every other spec resolves
-    // through the ProtectionScheme registry ("asan-elide" remains the
-    // legacy spelling of "asan+elide").
+    // through the ProtectionScheme registry.
     runtime::SchemeConfig cfg;
     const bool apply = scheme != "none";
     if (apply) {
@@ -413,15 +395,6 @@ parseOptions(int argc, char **argv, const std::string &figure)
             opt.cores = unsigned(u64Arg(i, a, 1, 64));
         } else if (a == "--fast-functional") {
             opt.exec.fastFunctional = true;
-        } else if (a == "--sample-warmup") {
-            opt.exec.sampling.warmupOps =
-                u64Arg(i, a, 0, ~std::uint64_t(0));
-        } else if (a == "--sample-window") {
-            opt.exec.sampling.windowOps =
-                u64Arg(i, a, 1, ~std::uint64_t(0));
-        } else if (a == "--sample-interval") {
-            opt.exec.sampling.intervalOps =
-                u64Arg(i, a, 0, ~std::uint64_t(0));
         } else if (a == "--debug-flags") {
             opt.debugFlags = strArg(i, a);
             trace::FlagMask mask = 0;
@@ -449,17 +422,6 @@ parseOptions(int argc, char **argv, const std::string &figure)
                       << "\"\n";
             usage(figure, 1);
         }
-    }
-    if (opt.exec.fastFunctional && opt.exec.sampling.active()) {
-        std::cerr << figure << ": --fast-functional and "
-                  << "--sample-interval are mutually exclusive\n";
-        usage(figure, 1);
-    }
-    if (!opt.exec.sampling.valid()) {
-        std::cerr << figure << ": bad sampling config: need "
-                  << "--sample-warmup + --sample-window <= "
-                  << "--sample-interval\n";
-        usage(figure, 1);
     }
     return opt;
 }
@@ -571,9 +533,9 @@ struct MatrixResult
  * SweepRunner with opt.jobs threads. When `with_baseline` is set a
  * Plain column is run first and the sweep's wtd-ari/geo mean overheads
  * are computed against it (over the rows whose cells all succeeded).
- * A non-detailed opt.exec (--fast-functional, --sample-*) replaces
- * every column's exec mode, the baseline's included; the detailed
- * default leaves each column's own cfg.exec alone.
+ * --fast-functional replaces every column's exec mode, the
+ * baseline's included; the detailed default leaves each column's own
+ * cfg.exec alone.
  */
 inline MatrixResult
 runMatrix(const std::string &sweep_name,
@@ -584,8 +546,8 @@ runMatrix(const std::string &sweep_name,
     const unsigned seeds = numSeeds();
     const std::uint64_t ki = kiloInsts();
 
-    // --bench narrows the matrix to one row (CI's fast-functional
-    // smoke runs one benchmark instead of the whole suite).
+    // --bench narrows the matrix to one row (the fast-functional
+    // ctest runs one benchmark instead of the whole suite).
     std::vector<workload::BenchProfile> rows_run;
     if (opt.benchFilter.empty()) {
         rows_run = rows;
@@ -610,7 +572,7 @@ runMatrix(const std::string &sweep_name,
         all_cols.push_back(
             {"Plain", sim::makeSystemConfig(sim::ExpConfig::Plain)});
     all_cols.insert(all_cols.end(), cols.begin(), cols.end());
-    if (!opt.exec.detailed())
+    if (opt.exec.fastFunctional)
         for (MatrixColumn &col : all_cols)
             col.cfg.exec = opt.exec;
 
@@ -664,8 +626,6 @@ runMatrix(const std::string &sweep_name,
                 }
                 const sim::Measurement &m = jr.measurement;
                 cell.execMode = m.execMode;
-                cell.samplingErrorPct = std::max(
-                    cell.samplingErrorPct, m.samplingErrorPct);
                 total_cycles += double(m.cycles);
                 total_ops += double(m.ops);
                 cell.seedCycles.push_back(m.cycles);

@@ -181,11 +181,6 @@ main(int argc, char **argv)
 {
     auto opt = bench::parseOptions(argc, argv, "multicore");
     bench::installGlobalTrace(opt);
-    if (opt.exec.sampling.active()) {
-        std::cerr << "multicore: sampled execution is not supported "
-                  << "on the multicore machine\n";
-        return 2;
-    }
 
     const auto selected = resolveSchemes(opt.schemes);
     const std::vector<unsigned> counts = coreCounts(opt.cores);

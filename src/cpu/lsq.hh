@@ -169,13 +169,6 @@ class Lsq
         return count_ == 0 ? 0 : at(0).writeCompleteAt;
     }
 
-    void
-    clear()
-    {
-        head_ = 0;
-        count_ = 0;
-    }
-
   private:
     /** The i-th oldest in-flight entry. */
     StoreEntry &

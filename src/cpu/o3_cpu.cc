@@ -59,29 +59,6 @@ O3Cpu::O3Cpu(const CpuConfig &cfg, core::RestMode mode,
         buckets.assign(issueWindow, staleBucket);
 }
 
-void
-O3Cpu::resetPipeline()
-{
-    fetchCycle_ = 0;
-    fetchedThisCycle_ = 0;
-    lastFetchLine_ = invalidAddr;
-    std::fill(robFreeAt_.begin(), robFreeAt_.end(), 0);
-    std::fill(lqFreeAt_.begin(), lqFreeAt_.end(), 0);
-    iq_.reset();
-    std::fill(issueBucket_.begin(), issueBucket_.end(), staleBucket);
-    for (auto &buckets : fuBucket_)
-        std::fill(buckets.begin(), buckets.end(), staleBucket);
-    regReadyAt_.fill(0);
-    serializeUntil_ = false;
-    seq_ = 0;
-    robPos_ = 0;
-    lqPos_ = 0;
-    redirectAt_ = 0;
-    lastCommitCycle_ = 0;
-    commitsThisCycle_ = 0;
-    lsq_.clear();
-}
-
 Cycles
 O3Cpu::claimIssueSlot(Cycles when, unsigned pool, Cycles fu_busy)
 {

@@ -67,24 +67,12 @@ class O3Cpu
      * All pipeline state carries across calls, so a stream run in
      * several calls is timed exactly as in one. The result's op counts
      * and violation.seq are local to this call; its cycles are the
-     * commit clock since construction or resetPipeline().
+     * commit clock since construction.
      * @param src op stream.
      * @param max_ops optional cap on committed ops.
      */
     RunResult run(isa::TraceSource &src,
                   std::uint64_t max_ops = ~std::uint64_t(0));
-
-    /**
-     * Reset the transient pipeline state (fetch and redirect, op
-     * sequence, occupancy rings, issue/FU windows, scoreboard, LSQ,
-     * commit clock) to the just-constructed state, so the next run()
-     * starts timing from cycle 0. Long-lived predictor state (branch predictor) and the
-     * accumulated stats survive — this is the window checkpoint/
-     * restore the sampled execution mode is built on: each detailed
-     * window warms the pipeline from empty while the predictor and
-     * caches carry realistic history across fast-forward gaps.
-     */
-    void resetPipeline();
 
     const stats::StatGroup &statGroup() const { return stats_; }
     stats::StatGroup &statGroup() { return stats_; }
@@ -109,7 +97,7 @@ class O3Cpu
     Cycles redirectAt_ = 0;
 
     /**
-     * Dynamic index of the next op since resetPipeline(): the program
+     * Dynamic index of the next op since construction: the program
      * order the LSQ compares, which must not restart at a run() call.
      */
     std::uint64_t seq_ = 0;

@@ -37,11 +37,15 @@ Cache::Cache(const CacheConfig &cfg, MemoryDevice &below)
       mshrStallCycles_(stats_.addScalar("mshr_stall_cycles",
                                         "cycles stalled on full MSHRs"))
 {
-    rest_assert(isPowerOfTwo(blockSize_), "block size must be pow2");
-    rest_assert(cfg.sizeBytes % (blockSize_ * cfg.assoc) == 0,
-                "cache geometry does not divide evenly");
+    // A user-level configuration error (harness columns edit cache
+    // configs), so a fatal: inside a sweep it fails only its job.
+    if (!isPowerOfTwo(blockSize_))
+        rest_fatal(cfg.name, ": block size must be pow2");
+    if (cfg.assoc == 0 || cfg.sizeBytes % (blockSize_ * cfg.assoc) != 0)
+        rest_fatal(cfg.name, ": cache geometry does not divide evenly");
     const std::size_t num_sets = cfg.sizeBytes / (blockSize_ * cfg.assoc);
-    rest_assert(isPowerOfTwo(num_sets), "number of sets must be pow2");
+    if (!isPowerOfTwo(num_sets))
+        rest_fatal(cfg.name, ": number of sets must be pow2");
     blockShift_ = floorLog2(blockSize_);
     setMask_ = num_sets - 1;
     tags_.assign(num_sets * cfg.assoc, invalidAddr);
@@ -270,15 +274,6 @@ Cache::flushAll()
         lines_[w] = Line{};
     }
     mshrs_.clear();
-}
-
-void
-Cache::resetTiming()
-{
-    for (Line &line : lines_)
-        line.readyAt = 0;
-    mshrs_.clear();
-    below_.resetTiming();
 }
 
 } // namespace rest::mem

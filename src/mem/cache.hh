@@ -122,13 +122,6 @@ class Cache : public MemoryDevice
     /** Invalidate and write back everything (test support). */
     void flushAll();
 
-    /**
-     * Forget in-flight fills (line readyAt, outstanding MSHRs) and
-     * cascade below. See MemoryDevice::resetTiming(): used at sampled-
-     * mode segment boundaries where the cycle clock restarts at 0.
-     */
-    void resetTiming() override;
-
     unsigned blockSize() const { return blockSize_; }
     const stats::StatGroup &statGroup() const { return stats_; }
     stats::StatGroup &statGroup() { return stats_; }

@@ -30,17 +30,6 @@ class MemoryDevice
      * @return the cycle the request completes (data available).
      */
     virtual Cycles access(Addr line_addr, bool is_write, Cycles now) = 0;
-
-    /**
-     * Drop in-flight timing state (queued requests, fill-in-progress
-     * timestamps). The sampled execution mode restarts the pipeline
-     * clock at 0 for every detailed window; any absolute completion
-     * cycle recorded under the previous clock would read as "busy for
-     * the next few thousand cycles" and poison the window. Contents
-     * (residency, LRU, token bits) are untouched — they are exactly
-     * the history sampling wants to carry across fast-forward gaps.
-     */
-    virtual void resetTiming() {}
 };
 
 /** Fixed-latency DRAM with a single-channel bandwidth constraint. */
@@ -67,8 +56,6 @@ class Dram : public MemoryDevice
             ++reads_;
         return start + cfg_.accessLatency;
     }
-
-    void resetTiming() override { nextFree_ = 0; }
 
     const stats::StatGroup &statGroup() const { return stats_; }
     stats::StatGroup &statGroup() { return stats_; }

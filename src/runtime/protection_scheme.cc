@@ -350,10 +350,6 @@ parseSchemeSpec(const std::string &spec, SchemeConfig &out,
             start = next + 1;
         }
     }
-    if (base == "asan-elide") { // legacy spelling of asan+elide
-        base = "asan";
-        suffixes.push_back("elide");
-    }
 
     const ProtectionScheme *ps = findScheme(base);
     if (!ps) {

@@ -148,8 +148,8 @@ const ProtectionScheme *findScheme(const std::string &id);
 const ProtectionScheme &schemeForConfig(const SchemeConfig &cfg);
 
 /**
- * Parse a scheme spec "<id>[+elide][+hoist][+coalesce]" (plus the
- * legacy alias "asan-elide") into a SchemeConfig. The optimisation
+ * Parse a scheme spec "<id>[+elide][+hoist][+coalesce]" into a
+ * SchemeConfig. The optimisation
  * suffixes compose only over backends whose baseConfig() enables
  * shadow access checks.
  * @return false (with 'error' set) on an unknown id or bad suffix.

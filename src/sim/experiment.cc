@@ -83,8 +83,6 @@ runBench(const workload::BenchProfile &profile, const SystemConfig &cfg,
     m.cycles = result.cycles();
     m.ops = result.run.committedOps;
     m.execMode = cfg.exec.modeName();
-    if (result.sampled)
-        m.samplingErrorPct = result.sampling.cpiStdErrPct;
     m.detail = result;
     auto snap = [&m](const std::string &name, std::uint64_t v) {
         m.scalars.emplace(name, v);

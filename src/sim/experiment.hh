@@ -52,12 +52,9 @@ struct Measurement
     std::uint64_t seed = 0;
     Cycles cycles = 0;
     std::uint64_t ops = 0;
-    /** Execution mode the measurement ran under: "detailed",
-     *  "fast-functional" or "sampled" (ExecutionConfig::modeName()). */
+    /** Execution mode the measurement ran under: "detailed" or
+     *  "fast-functional" (ExecutionConfig::modeName()). */
     std::string execMode = "detailed";
-    /** Sampled runs: standard error of per-window CPI as % of the
-     *  mean. Zero for detailed and fast-functional runs. */
-    double samplingErrorPct = 0.0;
     /** Component counters ("o3cpu.*", "l1d.*") snapshotted before the
      *  System is torn down; feeds the JSON results layer. */
     std::map<std::string, std::uint64_t> scalars;

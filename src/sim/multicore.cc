@@ -27,27 +27,9 @@ MultiCoreSystem::MultiCoreSystem(std::vector<isa::Program> programs,
                             cfg_.perCoreStackBytes >
                     runtime::AddressMap::heapBase,
                 "per-core stacks would overlap the heap");
-    if (cfg_.cores > 1 && base.exec.sampling.active()) {
-        rest_fatal("sampled execution is not supported on the "
-                   "multicore machine (detailed or fast-functional "
-                   "only)");
-    }
     if (cfg_.cores > 1 && base.trace.active()) {
         rest_fatal("per-run tracing is not supported on the "
                    "multicore machine");
-    }
-    if (!base.exec.sampling.valid()) {
-        rest_fatal("bad sampling config: need windowOps > 0 and "
-                   "warmupOps + windowOps <= intervalOps");
-    }
-    if (base.exec.fastFunctional && base.exec.sampling.active()) {
-        rest_fatal("fast-functional and sampled execution are "
-                   "mutually exclusive");
-    }
-    if (base.exec.sampling.active() && base.useInOrderCpu) {
-        rest_fatal("sampled execution requires the out-of-order "
-                   "cpu (the in-order model has no window "
-                   "checkpoint/restore)");
     }
 
     // Install a fresh random token at the configured width/mode
@@ -91,19 +73,16 @@ MultiCoreSystem::MultiCoreSystem(std::vector<isa::Program> programs,
             programs_[i], memory_, engine_, *allocator_, base.scheme,
             policy_, stack_top);
 
-        // Fast-functional runs need no timing CPU at all; sampled
-        // runs need both the O3 core and the functional driver.
-        if (!base.exec.fastFunctional) {
-            if (base.useInOrderCpu) {
-                c.inorder = std::make_unique<cpu::InOrderCpu>(
-                    base.inorderConfig, *c.l1i, *c.l1d);
-            } else {
-                c.o3 = std::make_unique<cpu::O3Cpu>(
-                    base.cpuConfig, base.mode, *c.l1i, *c.l1d);
-            }
-        }
-        if (!base.exec.detailed())
+        // Fast-functional runs need no timing CPU at all.
+        if (base.exec.fastFunctional) {
             c.fast = std::make_unique<FastFunctional>(base.mode);
+        } else if (base.useInOrderCpu) {
+            c.inorder = std::make_unique<cpu::InOrderCpu>(
+                base.inorderConfig, *c.l1i, *c.l1d);
+        } else {
+            c.o3 = std::make_unique<cpu::O3Cpu>(
+                base.cpuConfig, base.mode, *c.l1i, *c.l1d);
+        }
         c.cpuStats = c.o3        ? &c.o3->statGroup()
                      : c.inorder ? &c.inorder->statGroup()
                                  : &c.fast->statGroup();
@@ -171,116 +150,18 @@ MultiCoreSystem::runSlice(unsigned core, std::uint64_t ops,
     }
 }
 
-cpu::RunResult
-MultiCoreSystem::runSampledLoop(SamplingEstimate &est)
-{
-    const SamplingConfig &sc = cfg_.base.exec.sampling;
-    const std::uint64_t max_ops = cfg_.base.maxOps;
-    Core &c = cores_[0];
-    cpu::RunResult total;
-    std::vector<WindowSample> windows;
-    std::uint64_t detailed_ops = 0, ff_ops = 0;
-    Cycles detailed_cycles = 0;
-
-    // Fold one detailed segment into the totals. The O3 model's
-    // violation.seq is local to its run() call; offsetting by the ops
-    // retired before the call restores the global sequence number
-    // (identical to what an unbroken detailed run reports).
-    auto absorbDetailed = [&total](const cpu::RunResult &r,
-                                   std::uint64_t ops_before) {
-        total.committedOps += r.committedOps;
-        for (unsigned s = 0; s < r.opsBySource.size(); ++s)
-            total.opsBySource[s] += r.opsBySource[s];
-        if (r.faulted()) {
-            total.violation = r.violation;
-            total.violation.seq += ops_before;
-        }
-    };
-
-    auto more = [&] {
-        return !total.faulted() && !c.emulator->halted() &&
-               total.committedOps < max_ops;
-    };
-
-    while (more()) {
-        // Detailed segment: warmup (cycles discarded) + window. The
-        // pipeline clock restarts at 0, so the memory hierarchy must
-        // drop any absolute in-flight timestamps recorded under the
-        // previous segment's clock (contents survive; only fills that
-        // would otherwise read as still-pending are forgotten).
-        c.o3->resetPipeline();
-        c.l1i->resetTiming();
-        c.l1d->resetTiming();
-        Cycles seg_cycles = 0, warm_cycles = 0;
-        std::uint64_t warm =
-            std::min(sc.warmupOps, max_ops - total.committedOps);
-        if (warm != 0) {
-            std::uint64_t before = total.committedOps;
-            cpu::RunResult r = c.o3->run(*c.emulator, warm);
-            warm_cycles = seg_cycles = r.cycles;
-            detailed_ops += r.committedOps;
-            absorbDetailed(r, before);
-        }
-        if (more()) {
-            std::uint64_t want =
-                std::min(sc.windowOps, max_ops - total.committedOps);
-            std::uint64_t before = total.committedOps;
-            cpu::RunResult r = c.o3->run(*c.emulator, want);
-            // O3 pipeline state persists across run() calls, so
-            // r.cycles is the commit clock since resetPipeline();
-            // the window's own cost is the delta past the warmup.
-            if (r.committedOps != 0)
-                windows.push_back(
-                    {r.committedOps, r.cycles - warm_cycles});
-            seg_cycles = r.cycles;
-            detailed_ops += r.committedOps;
-            absorbDetailed(r, before);
-        }
-        detailed_cycles += seg_cycles;
-
-        // Functional fast-forward to the end of the period. Fault
-        // detection is architectural (the emulator), so a violation
-        // inside the gap surfaces identically; its seq is already
-        // the emulator's global sequence number.
-        if (more()) {
-            std::uint64_t skip = std::min(
-                sc.intervalOps - sc.warmupOps - sc.windowOps,
-                max_ops - total.committedOps);
-            if (skip != 0) {
-                cpu::RunResult r = c.fast->run(*c.emulator, skip);
-                total.committedOps += r.committedOps;
-                for (unsigned s = 0; s < r.opsBySource.size(); ++s)
-                    total.opsBySource[s] += r.opsBySource[s];
-                if (r.faulted())
-                    total.violation = r.violation;
-                ff_ops += r.committedOps;
-            }
-        }
-    }
-
-    est = estimateCycles(windows, detailed_ops, detailed_cycles,
-                         ff_ops);
-    total.cycles = est.extrapolatedCycles;
-    return total;
-}
-
 MultiCoreResult
 MultiCoreSystem::run()
 {
     MultiCoreResult res;
     res.instrumentation = instrumentation_;
     res.fastFunctional = cfg_.base.exec.fastFunctional;
-    res.sampled = cfg_.base.exec.sampling.active();
     res.cores.resize(cfg_.cores);
 
     // Install this machine's sink thread-locally for the duration of
     // the run: parallel sweep jobs each trace into private storage.
     trace::ScopedSink scoped(traceSink_.get());
-    if (res.sampled) {
-        res.cores[0] = runSampledLoop(res.sampling);
-        if (res.cores[0].faulted())
-            res.faultCore = 0;
-    } else if (cfg_.cores == 1) {
+    if (cfg_.cores == 1) {
         // No peers to interleave with: one unsliced call.
         runSlice(0, cfg_.base.maxOps, res);
     } else {

@@ -25,8 +25,7 @@
  * same programs, same schedule, byte-identical results.
  *
  * A 1-core machine attaches no bus and runs its program in a single
- * unsliced call. Only it supports sampled execution (sim/sampling.hh)
- * and a per-run trace sink (util/trace.hh).
+ * unsliced call. Only it supports a per-run trace sink (util/trace.hh).
  */
 
 #ifndef REST_SIM_MULTICORE_HH
@@ -50,11 +49,23 @@
 #include "runtime/runtime_config.hh"
 #include "sim/emulator.hh"
 #include "sim/fast_functional.hh"
-#include "sim/sampling.hh"
 #include "util/trace.hh"
 
 namespace rest::sim
 {
+
+/** How MultiCoreSystem::run() executes the op stream. */
+struct ExecutionConfig
+{
+    /** Retire every op functionally; no timing model at all. */
+    bool fastFunctional = false;
+
+    const char *
+    modeName() const
+    {
+        return fastFunctional ? "fast-functional" : "detailed";
+    }
+};
 
 /** Machine + scheme configuration; every core runs under the same one
  *  (MultiCoreConfig adds the core count and the schedule). */
@@ -75,10 +86,7 @@ struct SystemConfig
     std::uint64_t maxOps = ~std::uint64_t(0);
     std::uint64_t tokenSeed = 0xc0ffee;
 
-    /**
-     * Execution mode: detailed (default), fast-functional, or
-     * sampled (see sim/sampling.hh; one core only).
-     */
+    /** Execution mode: detailed (default) or fast-functional. */
     ExecutionConfig exec;
 
     /**
@@ -119,10 +127,6 @@ struct MultiCoreResult
     std::uint64_t committedOps = 0;
     /** Run retired functionally (cycles are nominal, CPI == 1). */
     bool fastFunctional = false;
-    /** Run was sampled; core 0's cycles are the extrapolated estimate
-     *  and `sampling` carries the window/error breakdown. */
-    bool sampled = false;
-    SamplingEstimate sampling;
     /** Per-core instrumentation summaries (index == core). */
     std::vector<runtime::InstrumentationSummary> instrumentation;
     std::uint64_t armsExecuted = 0;
@@ -191,9 +195,9 @@ class MultiCoreSystem
     std::vector<stats::StatSnapshot> statSnapshots() const;
 
   private:
-    /** One core's private hierarchy, emulator and execution model(s):
-     *  one timing model unless fast-functional, plus the functional
-     *  driver for fast-functional and sampled runs. */
+    /** One core's private hierarchy, emulator and execution model:
+     *  one timing model, or the functional driver when
+     *  fast-functional. */
     struct Core
     {
         std::unique_ptr<mem::Cache> l1i;
@@ -202,18 +206,13 @@ class MultiCoreSystem
         std::unique_ptr<cpu::O3Cpu> o3;
         std::unique_ptr<cpu::InOrderCpu> inorder;
         std::unique_ptr<FastFunctional> fast;
-        /** The stats of the model that reports (the O3 core's when a
-         *  sampled core has both). */
+        /** The stats of the core's execution model. */
         stats::StatGroup *cpuStats = nullptr;
     };
 
     /** Run up to 'ops' more ops on 'core'; fold into res.cores. */
     void runSlice(unsigned core, std::uint64_t ops,
                   MultiCoreResult &res);
-
-    /** The sampled-mode interleave loop on core 0 (detailed windows
-     *  on the O3 core, functional fast-forward between them). */
-    cpu::RunResult runSampledLoop(SamplingEstimate &est);
 
     MultiCoreConfig cfg_;
     mem::GuestMemory memory_;

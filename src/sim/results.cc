@@ -49,11 +49,8 @@ writeCell(util::JsonWriter &w, const SweepCell &cell)
     }
     w.field("cycles", std::uint64_t(cell.cycles));
     w.field("ops", cell.ops);
-    if (cell.execMode != "detailed") {
+    if (cell.execMode != "detailed")
         w.field("exec_mode", cell.execMode);
-        if (cell.execMode == "sampled")
-            w.field("sampling_error_pct", cell.samplingErrorPct);
-    }
     w.key("seed_cycles");
     w.beginArray();
     for (Cycles c : cell.seedCycles)

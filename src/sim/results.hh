@@ -17,9 +17,8 @@
  *         "cells": [
  *           { "bench": "perlbench", "column": "ASan",
  *             "cycles": 123, "ops": 456,
- *             // only for non-detailed runs ("fast-functional" or
- *             // "sampled"; sampled cells add "sampling_error_pct"):
- *             "exec_mode": "sampled", "sampling_error_pct": 2.1,
+ *             // only for fast-functional runs:
+ *             "exec_mode": "fast-functional",
  *             "seed_cycles": [121, 125],
  *             "scalars": { "o3cpu.…": 1, "l1d.…": 2 } }, ... ],
  *         // a cell whose job(s) failed serialises as
@@ -60,8 +59,6 @@ struct SweepCell
     /** Execution mode the cell's jobs ran under; only serialised when
      *  not "detailed", so default output stays byte-identical. */
     std::string execMode = "detailed";
-    /** Worst per-seed sampling error (sampled cells only). */
-    double samplingErrorPct = 0.0;
     std::vector<Cycles> seedCycles;
     std::map<std::string, std::uint64_t> scalars; ///< summed over seeds
     /** Per-interval stat deltas (first seed's run); only serialised

@@ -29,8 +29,6 @@ System::run()
     res.run = mr.cores[0];
     res.instrumentation = mr.instrumentation[0];
     res.fastFunctional = mr.fastFunctional;
-    res.sampled = mr.sampled;
-    res.sampling = mr.sampling;
     res.armsExecuted = mr.armsExecuted;
     res.disarmsExecuted = mr.disarmsExecuted;
     res.mallocCalls = mr.mallocCalls;

@@ -21,10 +21,6 @@ struct SystemResult
     runtime::InstrumentationSummary instrumentation;
     /** Run retired functionally (cycles are nominal, CPI == 1). */
     bool fastFunctional = false;
-    /** Run was sampled; `run.cycles` is the extrapolated estimate
-     *  and `sampling` carries the window/error breakdown. */
-    bool sampled = false;
-    SamplingEstimate sampling;
     std::uint64_t armsExecuted = 0;
     std::uint64_t disarmsExecuted = 0;
     std::uint64_t mallocCalls = 0;

@@ -381,53 +381,4 @@ TEST(O3Cpu, ArmInPreviousSliceStillTrapsLoad)
     EXPECT_EQ(second.violation.seq, 0u);
 }
 
-// Sampled mode times every detailed window from an empty pipeline:
-// resetPipeline() must restore every piece of transient state, so a
-// core that ran a stream, was reset and runs it again times it exactly
-// as a fresh core does. The caches are flushed and the stats cleared
-// between the runs, and the stream's branches are returns with an
-// empty return stack (always mispredicted, never predicted by TAGE),
-// so only the pipeline state could tell the two cores apart.
-TEST(O3Cpu, ResetPipelineMatchesFreshCore)
-{
-    OpStream s = mixedStream();
-    for (isa::DynOp &op : s.ops) {
-        if (op.isBranch) {
-            op.op = isa::Opcode::Ret;
-            op.taken = true;
-            op.nextPc = 0x400000;
-        }
-    }
-    for (core::RestMode mode :
-         {core::RestMode::Secure, core::RestMode::Debug}) {
-        MemSystem fresh_ms;
-        O3Cpu fresh({}, mode, *fresh_ms.l1i, *fresh_ms.l1d);
-        VectorTrace fresh_trace(s.ops);
-        const RunResult want = fresh.run(fresh_trace);
-        std::ostringstream want_dump;
-        fresh.statGroup().dump(want_dump);
-
-        MemSystem ms;
-        O3Cpu cpu({}, mode, *ms.l1i, *ms.l1d);
-        VectorTrace first(s.ops);
-        EXPECT_EQ(cpu.run(first).cycles, want.cycles);
-        cpu.resetPipeline();
-        for (mem::Cache *c :
-             {static_cast<mem::Cache *>(ms.l1i.get()),
-              static_cast<mem::Cache *>(ms.l1d.get()), ms.l2.get()}) {
-            c->flushAll();
-            c->resetTiming();
-        }
-        cpu.statGroup().resetAll();
-        VectorTrace second(s.ops);
-        const RunResult got = cpu.run(second);
-        std::ostringstream got_dump;
-        cpu.statGroup().dump(got_dump);
-        EXPECT_GT(got.cycles, 0u);
-        EXPECT_EQ(got.cycles, want.cycles);
-        EXPECT_EQ(got.committedOps, want.committedOps);
-        EXPECT_EQ(got_dump.str(), want_dump.str());
-    }
-}
-
 } // namespace rest::cpu

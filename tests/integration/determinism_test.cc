@@ -110,8 +110,8 @@ namespace
 /**
  * Run gobmk/30ki under a config + execution mode and serialise the
  * measurement through the results-file writer, so the determinism
- * claim covers the whole reporting path (cycles, scalars, exec-mode
- * and sampling-error fields), not just the cycle count.
+ * claim covers the whole reporting path (cycles, scalars and the
+ * exec-mode field), not just the cycle count.
  */
 std::string
 jsonFor(ExpConfig config, const sim::ExecutionConfig &exec)
@@ -129,7 +129,6 @@ jsonFor(ExpConfig config, const sim::ExecutionConfig &exec)
     cell.cycles = m.cycles;
     cell.ops = m.ops;
     cell.execMode = m.execMode;
-    cell.samplingErrorPct = m.samplingErrorPct;
     cell.seedCycles = {m.cycles};
     cell.scalars = m.scalars;
 
@@ -159,19 +158,6 @@ TEST(Determinism, FastFunctionalSameSeedSameJson)
     exec.fastFunctional = true;
     EXPECT_EQ(jsonFor(ExpConfig::RestSecureFull, exec),
               jsonFor(ExpConfig::RestSecureFull, exec));
-}
-
-TEST(Determinism, SampledSameSeedSameJson)
-{
-    sim::ExecutionConfig exec;
-    exec.sampling.warmupOps = 500;
-    exec.sampling.windowOps = 2000;
-    exec.sampling.intervalOps = 5000;
-    std::string a = jsonFor(ExpConfig::RestSecureFull, exec);
-    EXPECT_EQ(a, jsonFor(ExpConfig::RestSecureFull, exec));
-    // And the sampled record really is marked as such.
-    EXPECT_NE(a.find("\"exec_mode\""), std::string::npos) << a;
-    EXPECT_NE(a.find("\"sampled\""), std::string::npos) << a;
 }
 
 } // namespace rest

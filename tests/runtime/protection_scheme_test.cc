@@ -122,15 +122,6 @@ TEST(ParseSchemeSpec, AsanSuffixesCompose)
     EXPECT_FALSE(cfg.coalesceChecks);
 }
 
-TEST(ParseSchemeSpec, LegacyAsanElideAlias)
-{
-    SchemeConfig cfg;
-    std::string err;
-    ASSERT_TRUE(parseSchemeSpec("asan-elide", cfg, err)) << err;
-    EXPECT_EQ(cfg.allocator, AllocatorKind::Asan);
-    EXPECT_TRUE(cfg.elideRedundantChecks);
-}
-
 TEST(ParseSchemeSpec, Errors)
 {
     SchemeConfig cfg;

@@ -28,14 +28,13 @@ namespace rest::sim
 namespace
 {
 
-/** Fast-functional and sampled execution together are a configuration
- *  error: System's constructor rest_fatal()s on it. */
+/** An L1-D of 96 sets: a configuration error, which the cache's
+ *  constructor rest_fatal()s on (set counts must be powers of two). */
 SystemConfig
-contradictoryConfig()
+badGeometryConfig()
 {
     SystemConfig cfg = makeSystemConfig(ExpConfig::Plain);
-    cfg.exec.fastFunctional = true;
-    cfg.exec.sampling.intervalOps = 100000;
+    cfg.l1dConfig.sizeBytes = 48 * 1024;
     return cfg;
 }
 
@@ -155,8 +154,8 @@ TEST(SweepRunner, FatalJobFailsOnlyItsOwnCell)
 
     const std::size_t bad = 2;
     jobs.insert(jobs.begin() + bad,
-                {jobs[bad].profile, contradictoryConfig(),
-                 "contradictory"});
+                {jobs[bad].profile, badGeometryConfig(),
+                 "bad geometry"});
 
     for (unsigned threads : {1u, 4u}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -169,15 +168,14 @@ TEST(SweepRunner, FatalJobFailsOnlyItsOwnCell)
             if (i == bad) {
                 EXPECT_FALSE(out[i].ok);
                 EXPECT_NE(out[i].error.find(
-                              "fast-functional and sampled execution "
-                              "are mutually exclusive"),
+                              "l1d: number of sets must be pow2"),
                           std::string::npos)
                     << out[i].error;
                 // The location is relative to the source root, so the
                 // message reads the same in every checkout.
                 EXPECT_TRUE(std::regex_search(
                     out[i].error,
-                    std::regex(" @ src/sim/multicore\\.cc:[0-9]+$")))
+                    std::regex(" @ src/mem/cache\\.cc:[0-9]+$")))
                     << out[i].error;
                 continue;
             }
@@ -200,15 +198,21 @@ TEST(RunMatrix, FailedJobBecomesAnErrorCell)
     bench::Options opt;
     opt.jobs = 2;
 
+    // Under the detailed harness default each column keeps its own
+    // cfg.exec: "Fast" runs fast-functional, the baseline detailed.
+    SystemConfig fast = makeSystemConfig(ExpConfig::Asan);
+    fast.exec.fastFunctional = true;
     ::testing::internal::CaptureStderr();
     const bench::MatrixResult mat = bench::runMatrix(
         "unit", {workload::profileByName("sjeng")},
-        {{"Bad", contradictoryConfig()},
-         {"ASan", makeSystemConfig(ExpConfig::Asan)}},
+        {{"Bad", badGeometryConfig()},
+         {"ASan", makeSystemConfig(ExpConfig::Asan)},
+         {"Fast", fast}},
         opt);
     ::testing::internal::GetCapturedStderr();
 
-    ASSERT_EQ(mat.colNames, (std::vector<std::string>{"Bad", "ASan"}));
+    ASSERT_EQ(mat.colNames,
+              (std::vector<std::string>{"Bad", "ASan", "Fast"}));
     ASSERT_EQ(mat.baselineOk, std::vector<bool>{true});
     EXPECT_FALSE(mat.cellOk[0][0]);
     EXPECT_TRUE(mat.cellOk[1][0]);
@@ -222,15 +226,18 @@ TEST(RunMatrix, FailedJobBecomesAnErrorCell)
 
     // The failed cell keeps its error and no measurement (results.cc
     // then writes it as an {"error"} record); the others are measured.
-    ASSERT_EQ(mat.sweep.cells.size(), 3u); // Plain, Bad, ASan
+    ASSERT_EQ(mat.sweep.cells.size(), 4u); // Plain, Bad, ASan, Fast
     for (const SweepCell &cell : mat.sweep.cells) {
         SCOPED_TRACE(cell.column);
         EXPECT_EQ(cell.ok, cell.column != "Bad");
         if (cell.ok) {
             EXPECT_GT(cell.cycles, 0u);
             EXPECT_EQ(cell.seedCycles.size(), 2u);
+            EXPECT_EQ(cell.execMode, cell.column == "Fast"
+                                         ? "fast-functional"
+                                         : "detailed");
         } else {
-            EXPECT_NE(cell.error.find("mutually exclusive"),
+            EXPECT_NE(cell.error.find("number of sets must be pow2"),
                       std::string::npos);
             EXPECT_EQ(cell.cycles, 0u);
             EXPECT_TRUE(cell.seedCycles.empty());
