@@ -80,41 +80,49 @@ struct DynOp
 
 /**
  * FIFO of dynamic ops between the emulator's step machinery and its
- * consumers. Vector-backed with a head index instead of std::deque:
- * the queue fully drains between program instructions (runtime
- * sequences are short and bounded), so popping just advances the head
- * and the storage is recycled whenever the queue empties — no per-op
- * segment bookkeeping in the hot path.
+ * consumers. Vector-backed with head and tail indices instead of
+ * std::deque: the queue fully drains between program instructions
+ * (runtime sequences are short and bounded), so popping just advances
+ * the head, and the slots are reused from the start whenever the queue
+ * empties; the storage never shrinks. The explicit tail keeps empty()
+ * to one compare: vector::size() divides by sizeof(DynOp).
  */
 class OpQueue
 {
   public:
-    bool empty() const { return head_ == buf_.size(); }
-    std::size_t size() const { return buf_.size() - head_; }
-    void push_back(const DynOp &op) { buf_.push_back(op); }
-    DynOp &back() { return buf_.back(); }
+    bool empty() const { return head_ == tail_; }
+    std::size_t size() const { return tail_ - head_; }
+
+    void
+    push_back(const DynOp &op)
+    {
+        if (tail_ == buf_.size())
+            buf_.push_back(op);
+        else
+            buf_[tail_] = op;
+        ++tail_;
+    }
+
+    DynOp &back() { return buf_[tail_ - 1]; }
     const DynOp &front() const { return buf_[head_]; }
 
     void
     pop_front()
     {
-        if (++head_ == buf_.size())
+        if (++head_ == tail_)
             clear();
     }
 
-    void
-    clear()
-    {
-        buf_.clear();
-        head_ = 0;
-    }
+    void clear() { head_ = tail_ = 0; }
 
-    auto begin() const { return buf_.begin() + long(head_); }
-    auto end() const { return buf_.end(); }
+    const DynOp *begin() const { return buf_.data() + head_; }
+    const DynOp *end() const { return buf_.data() + tail_; }
 
   private:
+    /** Slots [head_, tail_) are queued; the rest are recycled. */
     std::vector<DynOp> buf_;
     std::size_t head_ = 0;
+    std::size_t tail_ = 0;
 };
 
 /**

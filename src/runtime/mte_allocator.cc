@@ -24,10 +24,15 @@ void
 MteAllocator::setTagRange(Addr canon, std::size_t bytes,
                           std::uint8_t tag, OpEmitter &em)
 {
-    Addr end = canon + bytes;
+    rest_assert(canon >= AddressMap::heapBase, "mte: tagging below heap");
+    const Addr end = canon + bytes;
+    const std::size_t granules =
+        (end - AddressMap::heapBase + granuleBytes - 1) / granuleBytes;
+    if (tags_.size() < granules)
+        tags_.resize(granules, 0);
     for (Addr g = alignDown(canon, granuleBytes); g < end;
          g += granuleBytes) {
-        tags_[g] = tag;
+        tags_[(g - AddressMap::heapBase) / granuleBytes] = tag;
         // The STG analogue: one granule-wide store in the op stream.
         em.store(g, granuleBytes);
     }
@@ -138,9 +143,7 @@ MteAllocator::checkAccess(Addr ea, unsigned size) const
     const Addr last = canon + (size ? size : 1) - 1;
     for (Addr g = alignDown(canon, granuleBytes);
          g <= alignDown(last, granuleBytes); g += granuleBytes) {
-        auto it = tags_.find(g);
-        const std::uint8_t mtag = it == tags_.end() ? 0 : it->second;
-        if (ptag != mtag)
+        if (ptag != granuleTag(g))
             return isa::FaultKind::MteTagMismatch;
     }
     return isa::FaultKind::None;

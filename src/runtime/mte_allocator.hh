@@ -20,7 +20,7 @@
 #define REST_RUNTIME_MTE_ALLOCATOR_HH
 
 #include <mutex>
-#include <unordered_map>
+#include <vector>
 
 #include "mem/guest_memory.hh"
 #include "runtime/access_policy.hh"
@@ -67,12 +67,14 @@ class MteAllocator : public Allocator, public AccessPolicy
     static std::uint8_t pointerTag(Addr ptr)
     { return (ptr >> tagShift) & 0xf; }
 
-    /** Current tag of the granule containing canonical address 'a'. */
+    /** Current tag of the granule containing canonical address
+     *  'canon'; 0 outside the tagged heap. */
     std::uint8_t
     granuleTag(Addr canon) const
     {
-        auto it = tags_.find(alignDown(canon, granuleBytes));
-        return it == tags_.end() ? 0 : it->second;
+        // Below heapBase the subtraction wraps past any table size.
+        const Addr g = (canon - AddressMap::heapBase) / granuleBytes;
+        return g < tags_.size() ? tags_[g] : 0;
     }
 
   private:
@@ -93,7 +95,9 @@ class MteAllocator : public Allocator, public AccessPolicy
      *  tests/runtime/allocator_stress_test.cc. */
     std::mutex mu_;
     HeapState heap_;
-    std::unordered_map<Addr, std::uint8_t> tags_; ///< by granule base
+    /** Granule tags, indexed by granule from AddressMap::heapBase;
+     *  grows with the heap's bump cursor. */
+    std::vector<std::uint8_t> tags_;
     std::uint64_t lcg_;
 };
 

@@ -33,7 +33,7 @@ PauthAllocator::sign(Addr canon)
         auto pac = static_cast<std::uint16_t>(
             fmix64(canon ^ key_ ^
                    generation_ * 0x9e3779b97f4a7c15ull) >> 48);
-        if (pac != 0 && !liveSigs_.count(pac))
+        if (pac != 0 && !liveSigs_[pac])
             return pac;
     }
 }
@@ -70,7 +70,8 @@ PauthAllocator::malloc(std::size_t size, OpEmitter &em)
     chunk.size = size;
 
     const std::uint16_t pac = sign(chunk.payload);
-    ++liveSigs_[pac];
+    liveSigs_[pac] = true;
+    ++liveCount_;
     sigByPayload_[chunk.payload] = pac;
     em.aluChain(2); // the PACGA-style signing arithmetic
 
@@ -108,9 +109,8 @@ PauthAllocator::free(Addr payload, OpEmitter &em)
 
     // Revoke the signature: every dangling copy of this pointer now
     // fails authentication, recycled or not.
-    auto live_sig = liveSigs_.find(pac);
-    if (live_sig != liveSigs_.end() && --live_sig->second == 0)
-        liveSigs_.erase(live_sig);
+    liveSigs_[pac] = false;
+    --liveCount_;
     sigByPayload_.erase(sig);
 
     Chunk chunk = it->second;
@@ -132,8 +132,8 @@ PauthAllocator::checkAccess(Addr ea, unsigned size) const
         return inHeapData(canon) ? isa::FaultKind::PauthCheckFailed
                                  : isa::FaultKind::None;
     }
-    return liveSigs_.count(pac) ? isa::FaultKind::None
-                                : isa::FaultKind::PauthCheckFailed;
+    return liveSigs_[pac] ? isa::FaultKind::None
+                          : isa::FaultKind::PauthCheckFailed;
 }
 
 } // namespace rest::runtime

@@ -20,6 +20,7 @@
 #ifndef REST_RUNTIME_PAUTH_ALLOCATOR_HH
 #define REST_RUNTIME_PAUTH_ALLOCATOR_HH
 
+#include <bitset>
 #include <mutex>
 #include <unordered_map>
 
@@ -68,7 +69,7 @@ class PauthAllocator : public Allocator, public AccessPolicy
     { return static_cast<std::uint16_t>(ptr >> pacShift); }
 
     /** Number of distinct live signatures (test support). */
-    std::size_t liveSignatures() const { return liveSigs_.size(); }
+    std::size_t liveSignatures() const { return liveCount_; }
 
   private:
     /** Sign a payload address: keyed, generation-salted, non-zero. */
@@ -88,8 +89,12 @@ class PauthAllocator : public Allocator, public AccessPolicy
      *  tests/runtime/allocator_stress_test.cc. */
     std::mutex mu_;
     HeapState heap_;
-    /** Signature -> number of live allocations carrying it. */
-    std::unordered_map<std::uint16_t, unsigned> liveSigs_;
+    /** One bit per PAC value: set while a live allocation carries
+     *  it. sign() never returns a live PAC, so no PAC is carried by
+     *  two live allocations at once. */
+    std::bitset<std::size_t(1) << 16> liveSigs_;
+    /** Number of set bits in liveSigs_. */
+    std::size_t liveCount_ = 0;
     /** Canonical payload -> its current signature. */
     std::unordered_map<Addr, std::uint16_t> sigByPayload_;
     std::uint64_t key_;

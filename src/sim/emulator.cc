@@ -51,21 +51,18 @@ Emulator::raise(DynOp &op, FaultKind kind)
     halted_ = true;
 }
 
-void
-Emulator::step(DynOp *direct)
+bool
+Emulator::step(DynOp &op)
 {
     if (instIdx_ >= fnInsts_) {
         // Fell off the end of a function without Ret: treat as halt.
         halted_ = true;
-        return;
+        return false;
     }
     const Inst &inst = insts_[instIdx_];
-    // Build the op in the consumer's slot when possible (the common,
-    // queue-empty case): one copy from the decode template, zero
-    // copies afterwards. Runtime-expanding cases push into the queue
-    // themselves and never reach the final direct hand-off.
-    const bool use_direct = direct != nullptr && queue_.empty();
-    DynOp &op = use_direct ? *direct : scratch_;
+    // The op is built in the consumer's slot: one copy from the decode
+    // template, zero copies afterwards. Runtime-expanding cases push it
+    // into the queue ahead of their own ops instead.
     op = decodeRow_[instIdx_];
 
     auto reg = [&](isa::RegId r) -> std::uint64_t {
@@ -372,15 +369,11 @@ Emulator::step(DynOp *direct)
                    static_cast<int>(inst.op));
     }
 
-    // Hot path: one op, no runtime expansion — it is already in the
-    // consumer's slot; otherwise it queues behind older ops.
-    if (use_direct)
-        directProduced_ = true;
-    else
-        queue_.push_back(op);
+    // One op, no runtime expansion: it is already in the consumer's
+    // slot.
     if (advance)
         ++instIdx_;
-    return;
+    return true;
 
   check_runtime_fault:
     // Runtime services mark faults on the ops they emit; surface the
@@ -392,37 +385,21 @@ Emulator::step(DynOp *direct)
             break;
         }
     }
+    return false;
 }
 
 bool
 Emulator::next(DynOp &out)
 {
-    directProduced_ = false;
-    while (!directProduced_ && queue_.empty() && !halted_)
-        step(&out);
-    if (!directProduced_) {
-        if (queue_.empty())
-            return false;
-        out = queue_.front();
-        queue_.pop_front();
-    }
-    out.seq = seq_++;
-    if (out.fault != FaultKind::None) {
-        // Nothing after the faulting op executes.
-        halted_ = true;
-        fault_ = out.fault;
-        queue_.clear();
-    }
-    return true;
+    return nextBatch(&out, 1) == 1;
 }
 
 std::size_t
 Emulator::nextBatch(DynOp *out, std::size_t max)
 {
-    // Same semantics as next() in a loop, but the whole drain runs in
-    // this translation unit — step() inlines into the loop, the
-    // stepping state stays hot, and the common one-op-per-step case
-    // goes straight into the caller's slot with no queue traffic.
+    // The one stepping loop, for next() and batch consumers alike:
+    // step() inlines here, and the common one-op-per-step case goes
+    // straight into the caller's slot with no queue traffic.
     std::size_t n = 0;
     while (n < max) {
         DynOp &slot = out[n];
@@ -431,11 +408,8 @@ Emulator::nextBatch(DynOp *out, std::size_t max)
             queue_.pop_front();
         } else if (halted_) {
             break;
-        } else {
-            directProduced_ = false;
-            step(&slot);
-            if (!directProduced_)
-                continue; // runtime expansion queued ops, or halt
+        } else if (!step(slot)) {
+            continue; // runtime expansion queued ops, or halt
         }
         slot.seq = seq_++;
         ++n;

@@ -33,7 +33,7 @@ namespace rest::sim
 {
 
 /** Functional execution + trace generation. */
-class Emulator : public isa::TraceSource
+class Emulator final : public isa::TraceSource
 {
   public:
     /**
@@ -55,10 +55,10 @@ class Emulator : public isa::TraceSource
              const runtime::AccessPolicy *policy = nullptr,
              Addr stack_top = runtime::AddressMap::stackTop);
 
-    /** TraceSource: produce the next dynamic op. */
+    /** TraceSource: produce the next dynamic op (a batch of one). */
     bool next(isa::DynOp &out) override;
 
-    /** TraceSource: batch drain — the fast-functional hot loop. */
+    /** TraceSource: batch drain — the one stepping loop. */
     std::size_t nextBatch(isa::DynOp *out, std::size_t max) override;
 
     /** Architectural register read (test support). */
@@ -85,15 +85,15 @@ class Emulator : public isa::TraceSource
         std::uint64_t savedSp;
     };
 
-    /** Execute one static instruction, emitting op(s) to the queue. */
     /**
-     * Execute one guest instruction. When 'direct' is non-null and
-     * the instruction produces exactly one op (no runtime expansion),
-     * the op is written straight into *direct and directProduced_ is
-     * set — the hot path skips the queue round-trip entirely.
-     * Runtime services always go through the queue.
+     * Execute one guest instruction with the op queue empty. Its op is
+     * built in 'op', the consumer's slot. Returns true when that op is
+     * the whole result (no runtime expansion); false when the
+     * instruction queued its ops instead (runtime services) or fell
+     * off the end of a function. Inlined into nextBatch(), its only
+     * caller.
      */
-    void step(isa::DynOp *direct = nullptr);
+    [[gnu::always_inline]] inline bool step(isa::DynOp &op);
 
     /** Mark execution faulted at the given queued op. */
     void raise(isa::DynOp &op, isa::FaultKind kind);
@@ -134,12 +134,6 @@ class Emulator : public isa::TraceSource
 
     isa::OpQueue queue_;
     std::unique_ptr<runtime::OpEmitter> emitter_;
-    /** step() wrote its op into the caller's direct slot. */
-    bool directProduced_ = false;
-    /** Scratch op record for steps with no direct slot — a member so
-     *  the hot path never default-constructs a DynOp; the decode
-     *  template assignment overwrites every field before use. */
-    isa::DynOp scratch_;
 
     bool halted_ = false;
     isa::FaultKind fault_ = isa::FaultKind::None;

@@ -1,7 +1,6 @@
 #include "sim/fast_functional.hh"
 
 #include <algorithm>
-#include <array>
 
 namespace rest::sim
 {
@@ -20,7 +19,12 @@ cpu::RunResult
 FastFunctional::run(isa::TraceSource &src, std::uint64_t max_ops)
 {
     cpu::RunResult result;
-    std::array<std::uint64_t, 5> by_source{};
+    // Per-source retire counts in locals, so they stay in registers:
+    // an indexed ++count[op.source] chains a load and a store from
+    // one op to the next. Program ops are the remainder.
+    static_assert(isa::numOpSources == 5, "count every OpSource");
+    std::uint64_t checks = 0, stack_setup = 0, allocator = 0,
+                  interceptor = 0;
     const bool debug_mode = mode_ == core::RestMode::Debug;
     bool stop = false;
 
@@ -43,7 +47,10 @@ FastFunctional::run(isa::TraceSource &src, std::uint64_t max_ops)
         std::uint64_t retired = 0;
         for (std::uint64_t i = 0; i < filled; ++i) {
             const isa::DynOp &op = block[i];
-            ++by_source[static_cast<unsigned>(op.source)];
+            checks += op.source == isa::OpSource::AccessCheck;
+            stack_setup += op.source == isa::OpSource::StackSetup;
+            allocator += op.source == isa::OpSource::Allocator;
+            interceptor += op.source == isa::OpSource::Interceptor;
             ++retired;
 
             if (op.fault == isa::FaultKind::None)
@@ -98,8 +105,13 @@ FastFunctional::run(isa::TraceSource &src, std::uint64_t max_ops)
         ++batches_;
     }
 
-    for (unsigned s = 0; s < by_source.size(); ++s)
-        result.opsBySource[s] = by_source[s];
+    auto &by_source = result.opsBySource;
+    by_source[unsigned(isa::OpSource::AccessCheck)] = checks;
+    by_source[unsigned(isa::OpSource::StackSetup)] = stack_setup;
+    by_source[unsigned(isa::OpSource::Allocator)] = allocator;
+    by_source[unsigned(isa::OpSource::Interceptor)] = interceptor;
+    by_source[unsigned(isa::OpSource::Program)] = result.committedOps -
+        checks - stack_setup - allocator - interceptor;
     result.cycles = result.committedOps; // nominal CPI == 1
     nominalCycles_.set(result.cycles);
     return result;

@@ -1,10 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "core/rest_engine.hh"
 #include "runtime/instrumentation.hh"
 #include "runtime/libc_allocator.hh"
+#include "runtime/protection_scheme.hh"
 #include "sim/emulator.hh"
+#include "sim/system.hh"
 #include "util/random.hh"
+#include "workload/attack_scenarios.hh"
+#include "workload/spec_profiles.hh"
 
 namespace rest::sim
 {
@@ -267,6 +278,153 @@ TEST_F(EmulatorTest, BranchOpsCarryResolvedOutcome)
     ASSERT_EQ(outcomes.size(), 2u);
     EXPECT_TRUE(outcomes[0]);  // loop back once
     EXPECT_FALSE(outcomes[1]); // then fall through
+}
+
+namespace
+{
+
+/** Every field of a DynOp, for whole-record comparison. */
+auto
+fields(const isa::DynOp &o)
+{
+    return std::tuple(o.seq, o.pc, o.op, o.cls, o.source, o.rd, o.rs1,
+                      o.rs2, o.eaddr, o.size, o.isBranch, o.taken,
+                      o.nextPc, o.fault);
+}
+
+/** A record with every field off its default, so a slot the emulator
+ *  leaves partly unwritten cannot pass for a fresh op. */
+isa::DynOp
+poisoned()
+{
+    isa::DynOp o;
+    o.seq = 0xdead;
+    o.pc = 0xbad0;
+    o.op = Opcode::Halt;
+    o.cls = isa::OpClass::MemWrite;
+    o.source = isa::OpSource::Interceptor;
+    o.rd = o.rs1 = o.rs2 = 7;
+    o.eaddr = 0x1234;
+    o.size = 3;
+    o.isBranch = o.taken = true;
+    o.nextPc = 0xbad4;
+    o.fault = isa::FaultKind::PauthCheckFailed;
+    return o;
+}
+
+/** The stream of a System's emulator, drained with next() alone. */
+std::vector<isa::DynOp>
+drainNext(Emulator &emu)
+{
+    std::vector<isa::DynOp> ops;
+    isa::DynOp op;
+    while (emu.next(op))
+        ops.push_back(op);
+    return ops;
+}
+
+/** The same stream, pulled by next() interleaved with nextBatch(k)
+ *  for k in {1, 3, 512} (0 in the pattern stands for next()). */
+std::vector<isa::DynOp>
+drainMixed(Emulator &emu)
+{
+    static constexpr std::size_t pattern[] = {0, 1, 3, 0, 512, 3, 1};
+    std::vector<isa::DynOp> ops;
+    for (std::size_t i = 0;; ++i) {
+        const std::size_t k = pattern[i % std::size(pattern)];
+        if (k == 0) {
+            isa::DynOp op = poisoned();
+            if (!emu.next(op))
+                break;
+            ops.push_back(op);
+            continue;
+        }
+        const std::size_t before = ops.size();
+        ops.resize(before + k, poisoned());
+        const std::size_t n = emu.nextBatch(ops.data() + before, k);
+        ops.resize(before + n);
+        if (n < k)
+            break; // a short batch: halt or fault
+    }
+    return ops;
+}
+
+} // namespace
+
+TEST(Emulator, NextAndNextBatchYieldIdenticalStreams)
+{
+    using namespace workload::attacks;
+    struct Case
+    {
+        std::string name;
+        const char *spec;
+        std::function<isa::Program()> build;
+        bool faults;
+    };
+    // Specs as parseSchemeSpec names them: one per backend, asan with
+    // every optimisation pass.
+    const char *specs[] = {"plain", "asan+elide+hoist+coalesce", "rest",
+                           "mte", "pauth"};
+    std::vector<Case> cases;
+    for (const char *name : {"gobmk", "bzip2"}) {
+        for (const char *spec : specs) {
+            cases.push_back({name, spec, [name] {
+                auto p = workload::profileByName(name);
+                p.targetKiloInsts = 10;
+                return workload::generate(p);
+            }, false});
+        }
+    }
+    // One attack per backend; all but plain's end in a fault, raised
+    // on a program op (rest, mte) or inside a runtime expansion
+    // (asan's memcpy interceptor, pauth's free).
+    cases.push_back({"heartbleed", "plain",
+                     [] { return heartbleed(64, 256); }, false});
+    cases.push_back({"heartbleed", "asan+elide+hoist+coalesce",
+                     [] { return heartbleed(64, 256); }, true});
+    cases.push_back({"heap-overflow", "rest",
+                     [] { return heapOverflowWrite(64, 64); }, true});
+    cases.push_back({"use-after-free", "mte",
+                     [] { return useAfterFree(128); }, true});
+    cases.push_back({"double-free", "pauth",
+                     [] { return doubleFree(64); }, true});
+
+    for (const Case &c : cases) {
+        const std::string what = c.name + " under " + c.spec;
+        SystemConfig cfg;
+        std::string err;
+        ASSERT_TRUE(runtime::parseSchemeSpec(c.spec, cfg.scheme, err))
+            << err;
+        System ref_sys(c.build(), cfg);
+        System mixed_sys(c.build(), cfg);
+        const std::vector<isa::DynOp> ref = drainNext(ref_sys.emulator());
+        const std::vector<isa::DynOp> mixed =
+            drainMixed(mixed_sys.emulator());
+
+        ASSERT_FALSE(ref.empty()) << what;
+        EXPECT_TRUE(std::any_of(ref.begin(), ref.end(), [](auto &op) {
+            return op.source == isa::OpSource::Allocator;
+        })) << what << ": no runtime expansion";
+        EXPECT_EQ(ref.back().fault != isa::FaultKind::None, c.faults)
+            << what;
+        EXPECT_EQ(ref_sys.emulator().faultKind(), ref.back().fault)
+            << what;
+        EXPECT_EQ(mixed_sys.emulator().faultKind(), ref.back().fault)
+            << what;
+        ASSERT_EQ(ref.size(), mixed.size()) << what;
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            if (fields(ref[i]) != fields(mixed[i])) {
+                ADD_FAILURE() << what << ": op " << i << " differs";
+                break;
+            }
+        }
+
+        // Drained stays drained, whichever entry point asks.
+        isa::DynOp op;
+        isa::DynOp buf[3];
+        EXPECT_FALSE(mixed_sys.emulator().next(op)) << what;
+        EXPECT_EQ(mixed_sys.emulator().nextBatch(buf, 3), 0u) << what;
+    }
 }
 
 } // namespace rest::sim

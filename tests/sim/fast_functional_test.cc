@@ -24,9 +24,11 @@
 #include <array>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/test_util.hh"
+#include "runtime/protection_scheme.hh"
 #include "workload/spec_profiles.hh"
 
 namespace rest
@@ -60,9 +62,8 @@ normalizeKind(ViolationKind kind)
 }
 
 Outcome
-runMode(isa::Program program, ExpConfig config, bool fast_functional)
+runMode(isa::Program program, sim::SystemConfig cfg, bool fast_functional)
 {
-    sim::SystemConfig cfg = sim::makeSystemConfig(config);
     cfg.exec.fastFunctional = fast_functional;
     sim::System system(std::move(program), cfg);
     sim::SystemResult r = system.run();
@@ -142,8 +143,9 @@ TEST(FastFunctionalFidelity, EveryAttackEveryScheme)
         for (ExpConfig config : allConfigs()) {
             const std::string what = std::string(sc.name) + " under " +
                                      sim::expConfigName(config);
-            Outcome detailed = runMode(sc.build(), config, false);
-            Outcome fast = runMode(sc.build(), config, true);
+            const sim::SystemConfig cfg = sim::makeSystemConfig(config);
+            Outcome detailed = runMode(sc.build(), cfg, false);
+            Outcome fast = runMode(sc.build(), cfg, true);
             expectEquivalent(detailed, fast, what);
         }
     }
@@ -151,17 +153,30 @@ TEST(FastFunctionalFidelity, EveryAttackEveryScheme)
 
 TEST(FastFunctionalFidelity, BenignWorkloadsIdenticalArchState)
 {
+    // The presets, then the tag-checking and optimised-ASan backends
+    // by their parseSchemeSpec names.
+    std::vector<std::pair<std::string, sim::SystemConfig>> columns;
+    for (ExpConfig config :
+         {ExpConfig::Plain, ExpConfig::Asan, ExpConfig::RestSecureFull,
+          ExpConfig::RestDebugHeap})
+        columns.emplace_back(sim::expConfigName(config),
+                             sim::makeSystemConfig(config));
+    for (const char *spec : {"mte", "pauth", "asan+elide+hoist+coalesce"}) {
+        sim::SystemConfig cfg;
+        std::string err;
+        ASSERT_TRUE(runtime::parseSchemeSpec(spec, cfg.scheme, err))
+            << err;
+        columns.emplace_back(spec, cfg);
+    }
+
     for (const char *name : {"gobmk", "bzip2"}) {
-        for (ExpConfig config :
-             {ExpConfig::Plain, ExpConfig::Asan,
-              ExpConfig::RestSecureFull, ExpConfig::RestDebugHeap}) {
+        for (const auto &[column, cfg] : columns) {
             auto p = workload::profileByName(name);
             p.targetKiloInsts = 20;
-            const std::string what = std::string(name) + " under " +
-                                     sim::expConfigName(config);
-            Outcome detailed =
-                runMode(workload::generate(p), config, false);
-            Outcome fast = runMode(workload::generate(p), config, true);
+            const std::string what =
+                std::string(name) + " under " + column;
+            Outcome detailed = runMode(workload::generate(p), cfg, false);
+            Outcome fast = runMode(workload::generate(p), cfg, true);
             EXPECT_FALSE(detailed.faulted) << what;
             expectEquivalent(detailed, fast, what);
         }
